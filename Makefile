@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test doc serve fuzz fuzz-faults fuzz-service bench-check bench-report bench-parallel bench-cache bench-service fmt lint lint-sync model-check clean
+.PHONY: verify build test doc serve fuzz fuzz-faults fuzz-service bench bench-test bench-check bench-report bench-parallel bench-cache bench-service fmt lint lint-sync model-check clean
 
 verify:
 	$(CARGO) build --release && $(CARGO) test -q
@@ -57,6 +57,19 @@ fuzz-service:
 	$(CARGO) run --release --bin fuzz_engines -- \
 		--cases $(FUZZ_SERVICE_CASES) --seed $(FUZZ_SEED) --regime service \
 		--max-seconds 600 --artifact-dir target/fuzz --quiet
+
+# The repository benchmark: BENCHMARK.json's command over its three
+# workloads (paper-batch, daemon, edit-restart) at the recorded seed,
+# untraced. Prints each metric with its unit and sample count and ends
+# with one JSON result line; see dynbench/README.md.
+bench:
+	$(CARGO) run --quiet --release --offline --manifest-path dynbench/Cargo.toml -- \
+		--workload all --seed 3397 --seconds 20 --trace 0
+
+# The benchmark's own self-tests (its own workspace, so `make test`
+# does not reach them).
+bench-test:
+	$(CARGO) test --release --manifest-path dynbench/Cargo.toml
 
 bench-check:
 	$(CARGO) bench --no-run

@@ -445,6 +445,36 @@ impl Ticket {
         Ok(())
     }
 
+    /// Charges `n` unit edge traversals, with exactly the semantics of
+    /// `n` calls of [`charge`](Self::charge) that stop at the first
+    /// failure: the same signals are polled at the same charges, and the
+    /// units before a trip stay deducted (unlike
+    /// [`charge_n`](Self::charge_n), whose failed lump is not). Returns
+    /// how many units succeeded, and the trip that stopped the rest.
+    ///
+    /// This lets a traversal charge a whole adjacency segment up front
+    /// and then visit only the edges it can take: the units that
+    /// succeeded say how far into the segment the per-edge charges
+    /// would have reached.
+    #[inline]
+    pub fn charge_units(&mut self, n: u64) -> (u64, Result<(), Interrupt>) {
+        let mut done = 0;
+        while done < n {
+            // Every unit below the stop mark takes `charge`'s hot path.
+            let fast = self.stop.saturating_sub(self.used).min(n - done);
+            self.used += fast;
+            done += fast;
+            if done == n {
+                break;
+            }
+            if let Err(kind) = self.charge_cold() {
+                return (done, Err(kind));
+            }
+            done += 1;
+        }
+        (done, Ok(()))
+    }
+
     fn poll_signals(&self) -> Option<Interrupt> {
         if self
             .cancel
@@ -529,6 +559,7 @@ pub const ANALYSIS_STACK_BYTES: usize = 256 * 1024 * 1024;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn exhaustion_is_sticky() {
@@ -694,6 +725,75 @@ mod tests {
             t.charge().unwrap();
         }
         assert_eq!(t.charge(), Err(Interrupt::Deadline));
+    }
+
+    /// A ticket for the `charge_units` equivalence: `fuse` 0 is no fuse,
+    /// `poll` 0 attaches no cancel token, and the token (when attached)
+    /// is cancelled after `prior` charges when `cancel` is set.
+    fn unit_ticket(
+        limit: u64,
+        fuse: u64,
+        fuse_kind: Interrupt,
+        poll: u64,
+        cancel: bool,
+        prior: u64,
+    ) -> Ticket {
+        let token = std::sync::Arc::new(CancelToken::new());
+        let mut control = QueryControl::new();
+        if poll > 0 {
+            control = control
+                .cancelled_by(std::sync::Arc::clone(&token))
+                .poll_every(poll);
+        }
+        if fuse > 0 {
+            control = control.fused_after(fuse - 1, fuse_kind);
+        }
+        let mut t = Ticket::with_control(limit, &control);
+        for _ in 0..prior {
+            let _ = t.charge();
+        }
+        if cancel {
+            token.cancel();
+        }
+        t
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `charge_units(n)` is `n` unit charges: the same success count,
+        /// the same trip, the same `used`, and the same sticky state after.
+        #[test]
+        fn charge_units_equals_unit_charges(
+            limit in 0u64..120,
+            fuse in 0u64..120,
+            kind in 0usize..3,
+            poll in 0u64..12,
+            cancel in any::<bool>(),
+            prior in 0u64..120,
+            n in 0u64..160,
+        ) {
+            let kind = [Interrupt::Budget, Interrupt::Cancelled, Interrupt::Deadline][kind];
+            let mut units = unit_ticket(limit, fuse, kind, poll, cancel, prior);
+            let mut lump = unit_ticket(limit, fuse, kind, poll, cancel, prior);
+
+            let mut ok = 0;
+            let mut first_trip = Ok(());
+            for _ in 0..n {
+                match units.charge() {
+                    Ok(()) if first_trip.is_ok() => ok += 1,
+                    Ok(()) => panic!("a charge succeeded after a trip"),
+                    Err(k) => first_trip = first_trip.and(Err(k)),
+                }
+            }
+            let (done, trip) = lump.charge_units(n);
+            prop_assert_eq!(done, ok);
+            prop_assert_eq!(trip, first_trip);
+            prop_assert_eq!(lump.used(), units.used());
+            prop_assert_eq!(lump.tripped(), units.tripped());
+            prop_assert_eq!(lump.charge(), units.charge(), "sticky afterwards");
+            prop_assert_eq!(lump.used(), units.used());
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use dynsum_cfl::{
 };
 use dynsum_pag::{AdjClass, CallSiteId, NodeId, Pag};
 
-use crate::engine::{ctx_clear, ctx_pop, ctx_push, EngineConfig};
+use crate::engine::{ctx_clear, ctx_push, pop_segment, EngineConfig, PopSeg};
 use crate::summary::Summary;
 
 /// Reusable driver state: worklist + seen-set buffers that persist
@@ -160,13 +160,16 @@ pub(crate) fn drive(
                             stats.edges_traversed += 1;
                             step(a.node, ctx_clear(), seen, wl);
                         }
-                        for &a in pag.in_seg(x, AdjClass::Entry) {
-                            ticket.charge()?;
-                            stats.edges_traversed += 1;
-                            if let Some(c2) = ctx_pop(ctxs, c, a.site(), pag, config)? {
-                                step(a.node, c2, seen, wl);
-                            }
-                        }
+                        pop_segment(
+                            pag,
+                            ctxs,
+                            config,
+                            PopSeg::EntryInto(x),
+                            c,
+                            ticket,
+                            &mut stats,
+                            |n, c2| step(n, c2, seen, wl),
+                        )?;
                         for &a in pag.in_seg(x, AdjClass::Exit) {
                             ticket.charge()?;
                             stats.edges_traversed += 1;
@@ -188,13 +191,16 @@ pub(crate) fn drive(
                                 step(a.node, c2, seen, wl);
                             }
                         }
-                        for &a in pag.out_seg(x, AdjClass::Exit) {
-                            ticket.charge()?;
-                            stats.edges_traversed += 1;
-                            if let Some(c2) = ctx_pop(ctxs, c, a.site(), pag, config)? {
-                                step(a.node, c2, seen, wl);
-                            }
-                        }
+                        pop_segment(
+                            pag,
+                            ctxs,
+                            config,
+                            PopSeg::ExitFrom(x),
+                            c,
+                            ticket,
+                            &mut stats,
+                            |n, c2| step(n, c2, seen, wl),
+                        )?;
                     }
                 }
                 Ok(())

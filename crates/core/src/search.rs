@@ -22,7 +22,7 @@ use dynsum_cfl::{
 };
 use dynsum_pag::{AdjClass, CallSiteId, EdgeId, NodeId, NodeRef, Pag, VarId};
 
-use crate::engine::{ctx_clear, ctx_pop, ctx_push, EngineConfig};
+use crate::engine::{ctx_clear, ctx_push, pop_segment, EngineConfig, PopSeg};
 
 /// Which load edges are explored field-sensitively.
 #[derive(Debug, Clone, Copy)]
@@ -165,6 +165,33 @@ impl SearchCx<'_, '_> {
         }
     }
 
+    /// Propagates `(far node, f, s)` across a context-popping segment
+    /// under the contexts the kernel allows.
+    fn pop(
+        &mut self,
+        seg: PopSeg,
+        f: FieldStackId,
+        s: Direction,
+        c: CtxId,
+    ) -> Result<(), Interrupt> {
+        let (seen, wl) = (&mut *self.seen, &mut *self.wl);
+        pop_segment(
+            self.pag,
+            self.ctxs,
+            self.config,
+            seg,
+            c,
+            self.ticket,
+            self.stats,
+            |n, c2| {
+                let item = (n, f, s, c2);
+                if seen.insert(item) {
+                    wl.push(item);
+                }
+            },
+        )
+    }
+
     fn drive(&mut self) -> Result<(), Interrupt> {
         while let Some((u, f, s, c)) = self.wl.pop() {
             self.stats.steps += 1;
@@ -217,12 +244,7 @@ impl SearchCx<'_, '_> {
             self.charge()?;
             self.propagate(a.node, f, Direction::S1, ctx_clear());
         }
-        for &a in pag.in_seg(u, AdjClass::Entry) {
-            self.charge()?;
-            if let Some(c2) = ctx_pop(self.ctxs, c, a.site(), pag, self.config)? {
-                self.propagate(a.node, f, Direction::S1, c2);
-            }
-        }
+        self.pop(PopSeg::EntryInto(u), f, Direction::S1, c)?;
         for &a in pag.in_seg(u, AdjClass::Exit) {
             self.charge()?;
             if let Some(c2) = ctx_push(self.ctxs, c, a.site(), pag, self.config)? {
@@ -289,12 +311,7 @@ impl SearchCx<'_, '_> {
                 self.propagate(a.node, f, Direction::S2, c2);
             }
         }
-        for &a in pag.out_seg(u, AdjClass::Exit) {
-            self.charge()?;
-            if let Some(c2) = ctx_pop(self.ctxs, c, a.site(), pag, self.config)? {
-                self.propagate(a.node, f, Direction::S2, c2);
-            }
-        }
+        self.pop(PopSeg::ExitFrom(u), f, Direction::S2, c)?;
         for &a in pag.in_seg(u, AdjClass::Store) {
             // An in-store discharges a pending *load* frame (the stored
             // value feeds the field the backward walk asked for) —

@@ -26,7 +26,7 @@
 //! on (the default), a warm restore is *outcome-invisible*: every query
 //! answers byte-identically to a cold process, only faster.
 //!
-//! # Wire format (version 1)
+//! # Wire format (version 2)
 //!
 //! All integers little-endian; no external dependencies (the workspace
 //! is offline, so the codec is hand-rolled). The full specification,
@@ -46,7 +46,9 @@
 //!   epoch            u64
 //!   invalidations    u32 count, then (method u32, epoch u64) each
 //!   field-stack pool u32 count, then (element u32, parent u32) each,
-//!                    in id order (StackPool::export)
+//!                    in id order (StackPool::export); an element is a
+//!                    FieldFrame as (field id << 1) | kind, kind 0 = Get,
+//!                    1 = Put (the version 1 → 2 change)
 //!   summary cache    u32 count, then per entry:
 //!                      node u32, field stack u32, direction u8,
 //!                      cost u64,

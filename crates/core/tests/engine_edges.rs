@@ -1,8 +1,8 @@
 //! Edge-case tests for the engines: queries on globals, deep context
 //! chains, heap contexts, recursion transparency, and cap behavior.
 
-use dynsum_cfl::CtxId;
-use dynsum_core::{DemandPointsTo, DynSum, EngineConfig, NoRefine, RefinePts, StaSum};
+use dynsum_cfl::{CtxId, Outcome};
+use dynsum_core::{DemandPointsTo, DynSum, EngineConfig, EngineKind, NoRefine, RefinePts, StaSum};
 use dynsum_pag::{MethodId, Pag, PagBuilder, VarId};
 
 /// A chain of k wrapper methods: main calls w1 calls w2 ... calls wk,
@@ -183,4 +183,71 @@ fn empty_graph_engines_do_not_panic() {
     let _ = DynSum::new(&pag);
     let _ = NoRefine::new(&pag);
     let _ = RefinePts::new(&pag);
+}
+
+/// One formal with 240 callers: `main` calls `id(a_i)` at sites `i`,
+/// `id` returns its parameter, and `acc` collects 40 of the results.
+/// Every path from `acc` returns into `id` (pushing its site) and then
+/// meets `p`'s 240-edge entry segment under that one-site context, where
+/// exactly one edge matches.
+fn wide_formal() -> (Pag, VarId) {
+    let mut b = PagBuilder::new();
+    let main = b.add_method("main", None).unwrap();
+    let id = b.add_method("id", None).unwrap();
+    let p = b.add_local("p", id, None).unwrap();
+    let ret = b.add_local("ret", id, None).unwrap();
+    b.add_assign(p, ret).unwrap();
+    let acc = b.add_local("acc", main, None).unwrap();
+    for i in 0..240 {
+        let a = b.add_local(&format!("a{i}"), main, None).unwrap();
+        let r = b.add_local(&format!("r{i}"), main, None).unwrap();
+        let o = b.add_obj(&format!("o{i}"), None, Some(main)).unwrap();
+        b.add_new(o, a).unwrap();
+        let site = b.add_call_site(&format!("s{i}"), main).unwrap();
+        b.add_entry(site, a, p).unwrap();
+        b.add_exit(site, ret, r).unwrap();
+        if i % 6 == 0 {
+            b.add_assign(r, acc).unwrap();
+        }
+    }
+    (b.finish(), acc)
+}
+
+#[test]
+fn wide_formal_over_budget_is_pinned() {
+    // The budget trips partway through the 40 returns, inside one of
+    // p's wide entry segments. Context matching may skip non-matching
+    // edges, but it must charge each one: these outcomes, partial
+    // answers and edge counts are the per-edge scan's.
+    let (pag, acc) = wide_formal();
+    let config = EngineConfig {
+        budget: 3_000,
+        ..EngineConfig::default()
+    };
+    // 12 of the 40 objects, under the same contexts, in every engine;
+    // DYNSUM's count stops short of the budget because a reused
+    // summary's lump charge that does not fit is not deducted.
+    let partial = 17_315_285_581_788_345_361;
+    let pins = [
+        (EngineKind::NoRefine, partial, 3_000),
+        (EngineKind::RefinePts, partial, 3_000),
+        (EngineKind::DynSum, partial, 2_988),
+        (EngineKind::StaSum, partial, 3_000),
+    ];
+    for (kind, fingerprint, edges) in pins {
+        let r = kind.build(&pag, config).points_to(acc);
+        assert_eq!(r.pts.objects().len(), 12, "{}", kind.name());
+        assert_eq!(
+            (r.outcome, r.pts.fingerprint(), r.stats.edges_traversed),
+            (Outcome::OverBudget, fingerprint, edges),
+            "{}",
+            kind.name()
+        );
+    }
+    // Unlimited, every engine finds all 40 objects.
+    for kind in [EngineKind::NoRefine, EngineKind::DynSum] {
+        let r = kind.build(&pag, EngineConfig::unlimited()).points_to(acc);
+        assert!(r.resolved);
+        assert_eq!(r.pts.objects().len(), 40, "{}", kind.name());
+    }
 }

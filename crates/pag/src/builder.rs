@@ -61,6 +61,9 @@ pub enum BuildError {
     },
     /// Hierarchy error (duplicate class, unknown superclass, sealed).
     Hierarchy(HierarchyError),
+    /// An id space is full: ids are `u32`, so an arena holds fewer than
+    /// 2³² − 1 entries, and variables plus objects share one node space.
+    TooManyIds(&'static str),
 }
 
 impl std::fmt::Display for BuildError {
@@ -89,6 +92,7 @@ impl std::fmt::Display for BuildError {
                 "variable `{var}` does not belong to the caller of site `{site}`"
             ),
             BuildError::Hierarchy(e) => write!(f, "hierarchy error: {e}"),
+            BuildError::TooManyIds(what) => write!(f, "too many {what}s for 32-bit ids"),
         }
     }
 }
@@ -98,6 +102,16 @@ impl std::error::Error for BuildError {}
 impl From<HierarchyError> for BuildError {
     fn from(e: HierarchyError) -> Self {
         BuildError::Hierarchy(e)
+    }
+}
+
+/// The id of the next entry of an arena holding `len` entries, checked:
+/// the id must fit a `u32`, and so must the count after the push (the
+/// frozen graph's offset tables count entries in `u32`).
+fn next_id(len: usize, what: &'static str) -> Result<u32, BuildError> {
+    match u32::try_from(len) {
+        Ok(id) if id < u32::MAX => Ok(id),
+        _ => Err(BuildError::TooManyIds(what)),
     }
 }
 
@@ -197,11 +211,16 @@ impl PagBuilder {
     }
 
     /// Interns a field name (idempotent).
+    ///
+    /// # Panics
+    ///
+    /// Panics when 2³² − 1 distinct fields are already interned.
     pub fn field(&mut self, name: &str) -> FieldId {
         if let Some(&f) = self.field_names.get(name) {
             return f;
         }
-        let id = FieldId::from_raw(self.fields.len() as u32);
+        let id =
+            FieldId::from_raw(next_id(self.fields.len(), "field").expect("field ids exhausted"));
         self.fields.push(name.to_owned());
         self.field_names.insert(name.to_owned(), id);
         id
@@ -228,7 +247,7 @@ impl PagBuilder {
                 name: name.to_owned(),
             });
         }
-        let id = MethodId::from_raw(self.methods.len() as u32);
+        let id = MethodId::from_raw(next_id(self.methods.len(), "method")?);
         self.methods.push(MethodInfo {
             name: name.to_owned(),
             class,
@@ -279,7 +298,8 @@ impl PagBuilder {
                 name: name.to_owned(),
             });
         }
-        let id = VarId::from_raw(self.vars.len() as u32);
+        next_id(self.vars.len() + self.objs.len(), "node")?;
+        let id = VarId::from_raw(next_id(self.vars.len(), "variable")?);
         self.vars.push(VarInfo {
             name: name.to_owned(),
             kind,
@@ -335,7 +355,8 @@ impl PagBuilder {
                 return Err(BuildError::UnknownId(format!("{m}")));
             }
         }
-        let id = ObjId::from_raw(self.objs.len() as u32);
+        next_id(self.vars.len() + self.objs.len(), "node")?;
+        let id = ObjId::from_raw(next_id(self.objs.len(), "object")?);
         self.objs.push(ObjInfo {
             label: label.to_owned(),
             class,
@@ -366,7 +387,7 @@ impl PagBuilder {
         if caller.index() >= self.methods.len() {
             return Err(BuildError::UnknownId(format!("{caller}")));
         }
-        let id = CallSiteId::from_raw(self.call_sites.len() as u32);
+        let id = CallSiteId::from_raw(next_id(self.call_sites.len(), "call site")?);
         self.call_sites.push(CallSiteInfo {
             label: label.to_owned(),
             caller,
@@ -430,10 +451,12 @@ impl PagBuilder {
         Ok(ma)
     }
 
-    fn push_edge(&mut self, src: NodeRef, dst: NodeRef, kind: EdgeKind) {
+    fn push_edge(&mut self, src: NodeRef, dst: NodeRef, kind: EdgeKind) -> Result<(), BuildError> {
+        next_id(self.edges.len(), "edge")?;
         if self.edge_set.insert((src, dst, kind)) {
             self.edges.push((src, dst, kind));
         }
+        Ok(())
     }
 
     /// Adds a `new` edge binding `obj` to its defining variable `var`
@@ -468,8 +491,8 @@ impl PagBuilder {
         if self.obj_defined[obj.index()] {
             return Err(BuildError::ObjectRedefined(oi.label.clone()));
         }
+        self.push_edge(NodeRef::Obj(obj), NodeRef::Var(var), EdgeKind::New)?;
         self.obj_defined[obj.index()] = true;
-        self.push_edge(NodeRef::Obj(obj), NodeRef::Var(var), EdgeKind::New);
         Ok(())
     }
 
@@ -495,8 +518,7 @@ impl PagBuilder {
             }
             _ => EdgeKind::AssignGlobal,
         };
-        self.push_edge(NodeRef::Var(src), NodeRef::Var(dst), kind);
-        Ok(())
+        self.push_edge(NodeRef::Var(src), NodeRef::Var(dst), kind)
     }
 
     /// Adds a field load `dst = base.f` (edge `base --load(f)--> dst`).
@@ -506,8 +528,7 @@ impl PagBuilder {
     /// Fails unless both variables are locals of one method.
     pub fn add_load(&mut self, field: FieldId, base: VarId, dst: VarId) -> Result<(), BuildError> {
         self.check_local_pair("load", base, dst)?;
-        self.push_edge(NodeRef::Var(base), NodeRef::Var(dst), EdgeKind::Load(field));
-        Ok(())
+        self.push_edge(NodeRef::Var(base), NodeRef::Var(dst), EdgeKind::Load(field))
     }
 
     /// Adds a field store `base.f = src` (edge `src --store(f)--> base`).
@@ -521,8 +542,7 @@ impl PagBuilder {
             NodeRef::Var(src),
             NodeRef::Var(base),
             EdgeKind::Store(field),
-        );
-        Ok(())
+        )
     }
 
     /// Adds a parameter-passing edge `actual --entry_site--> formal`.
@@ -560,8 +580,7 @@ impl PagBuilder {
             NodeRef::Var(actual),
             NodeRef::Var(formal),
             EdgeKind::Entry(site),
-        );
-        Ok(())
+        )
     }
 
     /// Adds a return edge `ret --exit_site--> dst`.
@@ -590,8 +609,7 @@ impl PagBuilder {
                 var: ri.name.clone(),
             });
         }
-        self.push_edge(NodeRef::Var(ret), NodeRef::Var(dst), EdgeKind::Exit(site));
-        Ok(())
+        self.push_edge(NodeRef::Var(ret), NodeRef::Var(dst), EdgeKind::Exit(site))
     }
 
     // ---- lookups --------------------------------------------------------------
@@ -622,10 +640,13 @@ impl PagBuilder {
     /// hierarchy and computing all adjacency indices.
     pub fn finish(mut self) -> Pag {
         self.hierarchy.seal();
-        let num_vars = self.vars.len() as u32;
+        // `add_var`/`add_obj` keep `vars + objs` below `u32::MAX`.
+        let num_vars = u32::try_from(self.vars.len()).expect("node ids fit u32");
         let to_node = |r: NodeRef| match r {
             NodeRef::Var(v) => crate::node::NodeId(v.as_raw()),
-            NodeRef::Obj(o) => crate::node::NodeId(num_vars + o.as_raw()),
+            NodeRef::Obj(o) => {
+                crate::node::NodeId(num_vars.checked_add(o.as_raw()).expect("node ids fit u32"))
+            }
         };
         let edges: Vec<Edge> = self
             .edges
@@ -796,6 +817,19 @@ mod tests {
         assert_eq!(pag.node_ref(no), NodeRef::Obj(o));
         assert!(pag.has_local_edge(na));
         assert!(!pag.has_global_in(na));
+    }
+
+    #[test]
+    fn id_allocation_is_checked_at_the_u32_boundary() {
+        assert_eq!(next_id(0, "node"), Ok(0));
+        let last = u32::MAX - 1;
+        assert_eq!(next_id(last as usize, "node"), Ok(last));
+        // The id `u32::MAX` would fit, but the count after it would not.
+        let full = BuildError::TooManyIds("node");
+        assert_eq!(next_id(u32::MAX as usize, "node"), Err(full.clone()));
+        assert_eq!(next_id(u32::MAX as usize + 1, "node"), Err(full.clone()));
+        assert_eq!(next_id(usize::MAX, "node"), Err(full.clone()));
+        assert_eq!(full.to_string(), "too many nodes for 32-bit ids");
     }
 
     #[test]

@@ -5,6 +5,7 @@ use std::collections::HashMap;
 use crate::edge::{Adj, AdjClass, Edge, EdgeId, EdgeKind, FieldEdge};
 use crate::ids::{CallSiteId, FieldId, MethodId, ObjId, VarId};
 use crate::node::{CallSiteInfo, MethodInfo, NodeId, NodeRef, ObjInfo, VarInfo};
+use crate::sites::SiteIndex;
 use crate::stats::PagStats;
 use crate::types::Hierarchy;
 
@@ -58,6 +59,10 @@ pub struct Pag {
     // (REFINEPTS pairs loads with all stores of the same field).
     stores_by_field: Vec<Vec<FieldEdge>>,
     loads_by_field: Vec<Vec<FieldEdge>>,
+
+    // Call-site-indexed entry/exit edges, for context matching that does
+    // not scan a formal's every caller.
+    sites: SiteIndex,
 
     // Grouping of locals / allocation sites per method.
     method_locals: Vec<Vec<VarId>>,
@@ -243,6 +248,37 @@ impl Pag {
     #[inline]
     pub fn loads_of(&self, f: FieldId) -> &[FieldEdge] {
         &self.loads_by_field[f.index()]
+    }
+
+    /// The `entry_s` edges into `n`: the `s`-labelled part of
+    /// [`in_seg`](Self::in_seg)`(n, Entry)`, in the same [`EdgeId`]
+    /// order. A binary search in call site `s`'s run of the call-site
+    /// index, so the cost does not grow with `n`'s caller count.
+    #[inline]
+    pub fn site_entries_into(&self, s: CallSiteId, n: NodeId) -> &[Adj] {
+        self.sites.entries_into(s, n)
+    }
+
+    /// The `exit_s` edges out of `n`: the `s`-labelled part of
+    /// [`out_seg`](Self::out_seg)`(n, Exit)`, in the same [`EdgeId`]
+    /// order (see [`site_entries_into`](Self::site_entries_into)).
+    #[inline]
+    pub fn site_exits_from(&self, s: CallSiteId, n: NodeId) -> &[Adj] {
+        self.sites.exits_from(s, n)
+    }
+
+    /// The entry edges into `n` at [recursive](Self::is_recursive_site)
+    /// call sites, in [`EdgeId`] order.
+    #[inline]
+    pub fn recursive_entries_into(&self, n: NodeId) -> &[Adj] {
+        self.sites.recursive_entries_into(n)
+    }
+
+    /// The exit edges out of `n` at [recursive](Self::is_recursive_site)
+    /// call sites, in [`EdgeId`] order.
+    #[inline]
+    pub fn recursive_exits_from(&self, n: NodeId) -> &[Adj] {
+        self.sites.recursive_exits_from(n)
     }
 
     // ---- metadata ----------------------------------------------------------
@@ -474,6 +510,8 @@ impl Pag {
             }
         }
 
+        let sites = SiteIndex::build(&call_sites, &edges);
+
         let mut method_locals = vec![Vec::new(); methods.len()];
         for (i, v) in vars.iter().enumerate() {
             if let Some(m) = v.kind.method() {
@@ -527,6 +565,7 @@ impl Pag {
             in_list,
             stores_by_field,
             loads_by_field,
+            sites,
             method_locals,
             method_objs,
             var_names,

@@ -48,10 +48,22 @@
 //!   `has_local_edge` are range-emptiness checks on the segment table
 //!   (the local classes are contiguous, as are the global ones), not
 //!   separate bit vectors.
+//! * **Call-site index.** Under a non-empty calling context, an `entry`
+//!   edge walked backwards into a formal (or an `exit` edge walked
+//!   forwards out of a return variable) is only taken when its site is
+//!   the context's top, yet a popular formal has one entry edge per
+//!   caller — hundreds on the generated benchmarks. The index keeps each
+//!   call site's entry edges sorted by formal and its exit edges by
+//!   source, plus the recursive-site edges by node, so
+//!   [`Pag::site_entries_into`] / [`Pag::site_exits_from`] /
+//!   [`Pag::recursive_entries_into`] / [`Pag::recursive_exits_from`]
+//!   return the matching part of a segment, in segment order, by binary
+//!   search: the cost no longer grows with the caller count.
 //! * **One build pass.** [`PagBuilder::finish`] counting-sorts edges by
-//!   `(node, class)` in O(V·7 + E); the graph stays immutable
-//!   afterwards, which is what makes the shared borrows of segments
-//!   coexist with the engines' mutable traversal state.
+//!   `(node, class)` in O(V·7 + E), and sorts only the entry/exit edges
+//!   into the call-site index; the graph stays immutable afterwards,
+//!   which is what makes the shared borrows of segments coexist with
+//!   the engines' mutable traversal state.
 //!
 //! ## Quickstart
 //!
@@ -83,6 +95,7 @@ mod graph;
 mod ids;
 mod meta;
 mod node;
+mod sites;
 mod stats;
 pub mod text;
 mod types;

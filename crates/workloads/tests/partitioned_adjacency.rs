@@ -5,9 +5,10 @@
 //! (far endpoint + field/site operand) inlined faithfully. The derived
 //! classification bits (`has_global_in`/`has_global_out`/
 //! `has_local_edge`) and the per-field store/load lists are re-derived
-//! from the flat view and compared too.
+//! from the flat view and compared too, and the call-site index is
+//! checked against the site-filtered entry/exit segments.
 
-use dynsum_pag::{AdjClass, EdgeKind, Pag};
+use dynsum_pag::{Adj, AdjClass, EdgeKind, NodeId, Pag};
 use dynsum_workloads::{generate, GeneratorOptions, PROFILES};
 use proptest::prelude::*;
 
@@ -122,6 +123,75 @@ proptest! {
                 let e = pag.edge(fe.edge);
                 prop_assert_eq!(e.kind, EdgeKind::Load(f));
                 prop_assert_eq!((fe.src, fe.dst), (e.src, e.dst));
+            }
+        }
+    }
+}
+
+/// Checks the call-site index lookups of one node in one popping
+/// direction against the node's segment filtered by site.
+fn check_site_index(pag: &Pag, n: NodeId, entry: bool) {
+    let seg = if entry {
+        pag.in_seg(n, AdjClass::Entry)
+    } else {
+        pag.out_seg(n, AdjClass::Exit)
+    };
+    let mut sites: Vec<_> = seg.iter().map(|a| a.site()).collect();
+    sites.sort_unstable();
+    sites.dedup();
+    for s in sites {
+        let want: Vec<Adj> = seg.iter().copied().filter(|a| a.site() == s).collect();
+        let got = if entry {
+            pag.site_entries_into(s, n)
+        } else {
+            pag.site_exits_from(s, n)
+        };
+        assert_eq!(got, &want[..], "site {s} at {n:?}");
+    }
+    let want: Vec<Adj> = seg
+        .iter()
+        .copied()
+        .filter(|a| pag.is_recursive_site(a.site()))
+        .collect();
+    let got = if entry {
+        pag.recursive_entries_into(n)
+    } else {
+        pag.recursive_exits_from(n)
+    };
+    assert_eq!(got, &want[..], "recursive sites at {n:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The call-site index returns exactly the site-filtered segment, in
+    /// segment (`EdgeId`) order, for every node and every site on it —
+    /// so each entry/exit edge is found under its own `(site, node)` key.
+    #[test]
+    fn site_index_matches_filtered_segments(
+        profile in 0usize..PROFILES.len(),
+        seed in any::<u64>(),
+        recursion in 0usize..=2,
+    ) {
+        let opts = GeneratorOptions {
+            scale: 0.004,
+            seed,
+            recursion_bias: recursion as f64 * 0.5,
+            ..GeneratorOptions::default()
+        };
+        let w = generate(&PROFILES[profile], &opts);
+        let pag = &w.pag;
+        for n in pag.nodes() {
+            check_site_index(pag, n, true);
+            check_site_index(pag, n, false);
+        }
+        // A site with no edge at a node yields nothing there.
+        let first = pag.call_sites().next().map(|(s, _)| s);
+        if let Some(s) = first {
+            for n in pag.nodes() {
+                if pag.in_seg(n, AdjClass::Entry).iter().all(|a| a.site() != s) {
+                    prop_assert!(pag.site_entries_into(s, n).is_empty());
+                }
             }
         }
     }
