@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test doc serve fuzz fuzz-faults fuzz-service bench bench-test bench-check bench-report bench-parallel bench-cache bench-service fmt lint lint-sync model-check clean
+.PHONY: verify build test doc serve fuzz fuzz-faults fuzz-service bench bench-test bench-counts bench-check bench-report bench-parallel bench-cache bench-service fmt lint lint-sync model-check clean
 
 verify:
 	$(CARGO) build --release && $(CARGO) test -q
@@ -70,6 +70,12 @@ bench:
 # does not reach them).
 bench-test:
 	$(CARGO) test --release --manifest-path dynbench/Cargo.toml
+
+# The benchmark's exact work counts as a gate: each workload runs for one
+# second at seed 3397 and its `exact counts (per pass)` line must equal
+# the one recorded in tools/bench_counts.txt (see the script's header).
+bench-counts:
+	CARGO=$(CARGO) ./tools/check_bench_counts.sh
 
 bench-check:
 	$(CARGO) bench --no-run

@@ -105,103 +105,24 @@ impl Hasher for FxHasher {
     }
 }
 
-/// A **format-stable** 64-bit hasher (FNV-1a) for persistent artifacts.
+/// The **format-stable** FNV-1a hasher of the persistent formats
+/// (snapshot fingerprints, config digests, payload checksums).
 ///
-/// [`FxHasher`] is free to evolve — it only ever feeds in-process hash
-/// tables. `StableHasher` is the opposite contract: its output is written
-/// into on-disk formats (the snapshot header's PAG fingerprint, config
-/// digest and payload checksum — see `dynsum-core`'s `snapshot` module),
-/// so the algorithm below is **frozen**. Changing it silently invalidates
-/// every existing snapshot (they would all degrade to cold starts); bump
-/// the snapshot format version instead of editing this hasher.
-///
-/// Unlike the std `Hasher` defaults, every sized `write_*` method is
-/// overridden to feed **little-endian** bytes, so the digest is identical
-/// across platforms of either endianness.
+/// It lives in `dynsum-pag`, which memoizes each frozen graph's
+/// fingerprint with it, and is re-exported here under its historical
+/// `dynsum_cfl::StableHasher` path. Unlike [`FxHasher`], its output is
+/// frozen:
 ///
 /// ```
 /// use std::hash::Hasher;
 /// use dynsum_cfl::StableHasher;
 ///
-/// let mut a = StableHasher::default();
-/// a.write_u32(7);
-/// a.write_u64(9);
-/// let mut b = StableHasher::default();
-/// b.write_u32(7);
-/// b.write_u64(9);
-/// assert_eq!(a.finish(), b.finish());
-/// // The empty-input digest is the FNV-1a offset basis — pinned, since
-/// // the value is part of the snapshot format.
+/// let mut h = StableHasher::new();
+/// h.write(b"dynsum");
+/// assert_eq!(h.finish(), 0xaae1_f28a_1c1b_412b);
 /// assert_eq!(StableHasher::default().finish(), 0xcbf2_9ce4_8422_2325);
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct StableHasher {
-    hash: u64,
-}
-
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-impl Default for StableHasher {
-    fn default() -> Self {
-        StableHasher { hash: FNV_OFFSET }
-    }
-}
-
-impl StableHasher {
-    /// Creates a hasher in the initial (offset-basis) state.
-    pub fn new() -> Self {
-        StableHasher::default()
-    }
-}
-
-impl Hasher for StableHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, i: u8) {
-        self.write(&[i]);
-    }
-
-    #[inline]
-    fn write_u16(&mut self, i: u16) {
-        self.write(&i.to_le_bytes());
-    }
-
-    #[inline]
-    fn write_u32(&mut self, i: u32) {
-        self.write(&i.to_le_bytes());
-    }
-
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.write(&i.to_le_bytes());
-    }
-
-    #[inline]
-    fn write_u128(&mut self, i: u128) {
-        self.write(&i.to_le_bytes());
-    }
-
-    #[inline]
-    fn write_usize(&mut self, i: usize) {
-        // usize width varies by platform; widen so 32- and 64-bit hosts
-        // agree on the digest.
-        self.write(&(i as u64).to_le_bytes());
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
+pub use dynsum_pag::StableHasher;
 
 /// `BuildHasher` for [`FxHasher`] (deterministic: no per-map seeding).
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
@@ -226,30 +147,6 @@ mod tests {
         let key = (3u32, 7u32, 1u8, 0u32);
         assert_eq!(hash_of(&key), hash_of(&key));
         assert_ne!(hash_of(&(1u32, 2u32)), hash_of(&(2u32, 1u32)));
-    }
-
-    #[test]
-    fn stable_hasher_is_pinned_forever() {
-        // These values are baked into the persistent snapshot format
-        // (PAG fingerprint / config digest / payload checksum). If this
-        // test fails, the hasher changed: revert it, or bump the
-        // snapshot format version and re-pin.
-        let mut h = StableHasher::new();
-        h.write(b"dynsum");
-        assert_eq!(h.finish(), 0xaae1_f28a_1c1b_412b);
-        let mut h = StableHasher::default();
-        h.write_u32(0xdead_beef);
-        h.write_u64(0x0123_4567_89ab_cdef);
-        h.write_u8(1);
-        h.write_usize(42);
-        assert_eq!(h.finish(), 0x350d_672b_a4ed_cff4);
-        // Sized writes are little-endian byte writes, so the digest is
-        // endianness-independent.
-        let mut a = StableHasher::new();
-        a.write_u16(0x1234);
-        let mut b = StableHasher::new();
-        b.write(&[0x34, 0x12]);
-        assert_eq!(a.finish(), b.finish());
     }
 
     #[test]

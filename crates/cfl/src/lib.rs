@@ -21,7 +21,8 @@
 //! * [`FxHasher`]/[`FxHashMap`]/[`FxHashSet`] — the vendored fast hasher
 //!   behind every hot-path table (worklist dedup, interning, caches) —
 //!   plus [`StableHasher`], the *frozen* FNV-1a variant whose output is
-//!   part of persistent on-disk formats (snapshot fingerprints);
+//!   part of persistent on-disk formats (snapshot fingerprints),
+//!   re-exported from `dynsum-pag`;
 //! * [`PointsToSet`], [`QueryResult`], [`QueryStats`] — context-qualified
 //!   results and deterministic work counters;
 //! * [`Trace`] — the `(v, f, s, c)` step recorder behind the paper's

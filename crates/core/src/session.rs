@@ -86,7 +86,7 @@ use crate::norefine::{norefine_query, NoRefine};
 use crate::refinepts::{refinepts_query, RefinePts};
 use crate::search::SearchParts;
 use crate::stasum::{stasum_precompute, stasum_query, StaSum, StaSumOptions, StaSumShared};
-use crate::summary::{CacheStats, Summary, SummaryCache};
+use crate::summary::{CacheStats, Summary, SummaryCache, SummaryKey};
 
 /// The four demand-driven engines of Table 2, constructible by name.
 ///
@@ -652,7 +652,15 @@ impl<'p> Session<'p> {
                 // translation entirely.
                 let shared = fields.shared_base_len(shard_fields) as u32;
                 let mut memo: FxHashMap<FieldStackId, FieldStackId> = FxHashMap::default();
-                for (&(node, f, dir), sum) in shard_cache.entries() {
+                // Key order, not hash-map order: insertion order sets the
+                // clock ring's order and so what a capped cache evicts,
+                // and the shard map's iteration order depends on its
+                // capacity history (a recycled worker shard and a fresh
+                // handle's shard iterate the same entries differently).
+                let mut entries: Vec<(&SummaryKey, &Arc<Summary>)> =
+                    shard_cache.entries().collect();
+                entries.sort_unstable_by_key(|(k, _)| **k);
+                for (&(node, f, dir), sum) in entries {
                     if let Some(m) = pag.method_of(node) {
                         if invalidated_at.get(&m).is_some_and(|&e| e > shard_epoch) {
                             stale += 1;

@@ -64,6 +64,13 @@
 //!   into the call-site index; the graph stays immutable afterwards,
 //!   which is what makes the shared borrows of segments coexist with
 //!   the engines' mutable traversal state.
+//! * **Fingerprint once.** [`Pag::fingerprint`] — the snapshot header's
+//!   and the daemon session key's identity of the graph — hashes every
+//!   edge and name with the frozen [`StableHasher`], 11–16 ms on the
+//!   benchmark graphs. It is memoized in a `OnceLock` on first use, so
+//!   daemon reconnects and snapshot saves and loads after the first
+//!   cost O(1); it is never computed while building or parsing, so
+//!   callers that never ask never pay.
 //!
 //! ## Quickstart
 //!
@@ -92,6 +99,7 @@ mod builder;
 mod dot;
 mod edge;
 mod graph;
+mod hash;
 mod ids;
 mod meta;
 mod node;
@@ -105,6 +113,7 @@ pub use builder::{BuildError, PagBuilder};
 pub use dot::to_dot;
 pub use edge::{Adj, AdjClass, Edge, EdgeId, EdgeKind, FieldEdge};
 pub use graph::Pag;
+pub use hash::StableHasher;
 pub use ids::{CallSiteId, ClassId, FieldId, MethodId, ObjId, VarId};
 pub use meta::{CastSite, DerefSite, FactoryCandidate, ProgramInfo};
 pub use node::{CallSiteInfo, MethodInfo, NodeId, NodeRef, ObjInfo, VarInfo, VarKind};

@@ -231,10 +231,13 @@ pub fn parse_pag(input: &str) -> Result<Pag, ParseTextError> {
         let lineno = idx + 1;
         // `#` starts a comment only at the beginning of the line or
         // after whitespace: entity names may contain `#` (the frontend
-        // names locals `Class.method#var`).
+        // names locals `Class.method#var`). Whitespace means what splits
+        // tokens below, so no name can start with `#`: `write_pag`
+        // separates tokens with a space, and would write such a name
+        // back as a comment.
         let without_comment = match raw.find('#') {
             Some(0) => "",
-            Some(i) if raw[..i].ends_with([' ', '\t']) => &raw[..i],
+            Some(i) if raw[..i].ends_with(char::is_whitespace) => &raw[..i],
             _ => raw,
         };
         let line = without_comment.trim();
@@ -503,6 +506,19 @@ exit 7 t v
     fn comments_and_blank_lines_ignored() {
         let pag = parse_pag("pag v1\n\n# nothing\nmethod m\n").unwrap();
         assert_eq!(pag.num_methods(), 1);
+    }
+
+    #[test]
+    fn a_hash_after_any_whitespace_starts_a_comment() {
+        // `\r`, `\x0b`, `\x0c` and U+0085 split tokens too, so a `#`
+        // after them starts a comment: as the start of a name it would
+        // not survive `write_pag`, which separates tokens with a space.
+        for ws in ["\r", "\u{b}", "\u{c}", "\u{85}"] {
+            let e = parse_pag(&format!("pag v1\nfield{ws}#x\n")).unwrap_err();
+            assert!(e.message.contains("malformed field"), "{ws:?}: {e}");
+        }
+        let pag = parse_pag("pag v1\nfield a#b\n").unwrap();
+        assert_eq!(pag.find_field("a#b").map(|f| f.as_raw()), Some(0));
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! hit/miss accounting balances exactly against per-query stats; warm
 //! worker reuse and invalidation fencing behave across batches.
 
-use dynsum::cfl::CtxId;
+use dynsum::cfl::{CtxId, QueryControl};
 use dynsum::pag::ObjId;
 use dynsum::{
-    ClientKind, DemandPointsTo, DynSum, EngineConfig, EngineKind, QueryResult, Session,
-    SessionQuery,
+    split_batches, ClientKind, DemandPointsTo, DynSum, EngineConfig, EngineKind, QueryResult,
+    Session, SessionQuery,
 };
 use dynsum_clients::queries_for;
 use dynsum_workloads::{generate, BenchmarkProfile, GeneratorOptions, PROFILES};
@@ -209,4 +209,74 @@ fn invalidation_between_batches_is_safe_and_exact() {
         assert_eq!(fingerprint(a), fingerprint(b));
     }
     assert_eq!(session.summary_count(), full, "method fully repopulated");
+}
+
+/// At one thread the work counters are as deterministic as the answers:
+/// `run_batch(…, 1)` (a recycled worker shard) and a fresh handle's
+/// `query_with` + `absorb` give equal per-query `QueryStats` and equal
+/// `CacheStats` under any cap, because both merge a shard in key order —
+/// the clock ring's order, and so what the cap evicts, no longer depends
+/// on the shard map's capacity history. (At more than one thread, which
+/// worker computes which summary is a race, so counters stay
+/// schedule-dependent there; answers never are.)
+#[test]
+fn one_thread_counters_do_not_depend_on_the_merge_path() {
+    let w = generate(
+        BenchmarkProfile::find("soot-c").unwrap(),
+        &GeneratorOptions {
+            scale: 0.02,
+            seed: 3397,
+            ..GeneratorOptions::default()
+        },
+    );
+    // The paper's §5.3 stream: each client's queries in ten batches.
+    let batches: Vec<Vec<SessionQuery<'_>>> = [
+        ClientKind::SafeCast,
+        ClientKind::NullDeref,
+        ClientKind::FactoryM,
+    ]
+    .into_iter()
+    .flat_map(|kind| split_batches(queries_for(kind, &w.info), 10))
+    .map(|b| b.iter().map(|q| SessionQuery::new(q.var)).collect())
+    .collect();
+    let working_set = {
+        let mut session = Session::new(&w.pag, EngineKind::DynSum);
+        for b in &batches {
+            session.run_batch(b, 1);
+        }
+        session.summary_count()
+    };
+    assert!(working_set >= 80, "working set too small: {working_set}");
+    for cap in [1, 20, working_set / 4, working_set / 2] {
+        let config = EngineConfig {
+            max_cached_summaries: Some(cap),
+            ..EngineConfig::default()
+        };
+        let mut by_batch = Session::with_config(&w.pag, EngineKind::DynSum, config);
+        let mut by_handle = Session::with_config(&w.pag, EngineKind::DynSum, config);
+        for (i, b) in batches.iter().enumerate() {
+            let want = by_batch.run_batch(b, 1);
+            let mut h = by_handle.handle();
+            let got: Vec<QueryResult> = b
+                .iter()
+                .map(|q| h.query_with(q.var, q.satisfied, &QueryControl::default()))
+                .collect();
+            let shard = h.into_summaries();
+            by_handle.absorb(shard);
+            for (j, (a, b)) in want.iter().zip(&got).enumerate() {
+                assert_eq!(
+                    fingerprint(a),
+                    fingerprint(b),
+                    "cap {cap} batch {i} query {j}"
+                );
+                assert_eq!(a.stats, b.stats, "cap {cap} batch {i} query {j}");
+            }
+            assert_eq!(
+                by_batch.cache_stats(),
+                by_handle.cache_stats(),
+                "cap {cap} after batch {i}"
+            );
+            assert_eq!(by_batch.summary_count(), by_handle.summary_count());
+        }
+    }
 }

@@ -439,3 +439,33 @@ fn serve_pair_transport_survives_malformed_lines_and_shuts_down() {
         // The serve loop exits; the scope joins the daemon thread.
     });
 }
+
+/// Every `hello` on a workload reports that graph's fingerprint: the
+/// first (which creates the session), reconnects that join it, and a
+/// `hello` for another engine that creates a second session.
+#[test]
+fn every_hello_reports_the_workload_fingerprint() {
+    let m = motivating_pag();
+    let want = format!("{:016x}", dynsum::pag_fingerprint(&m.pag));
+    let mut daemon = daemon_over(&m, ServiceConfig::default());
+    for (round, engine) in ["dynsum", "dynsum", "norefine", "dynsum", "norefine"]
+        .into_iter()
+        .enumerate()
+    {
+        let c = daemon.connect();
+        let frames = drive(
+            &mut daemon,
+            c,
+            &format!(r#"{{"op":"hello","id":1,"name":"c{round}","engine":"{engine}"}}"#),
+        );
+        assert!(is_ok(&frames[0]), "hello failed: {:?}", frames[0]);
+        assert_eq!(
+            frames[0].get("pag_fingerprint").and_then(Json::as_str),
+            Some(want.as_str()),
+            "hello {round} ({engine})"
+        );
+        if round % 2 == 1 {
+            daemon.disconnect(c);
+        }
+    }
+}
