@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test doc serve fuzz fuzz-faults fuzz-service bench bench-test bench-counts bench-check bench-report bench-parallel bench-cache bench-service fmt lint lint-sync model-check clean
+.PHONY: verify build test doc serve fuzz fuzz-faults fuzz-service bench bench-test bench-counts bench-check bench-report bench-parallel bench-cache bench-service fmt lint lint-sync model-check loc clean
 
 verify:
 	$(CARGO) build --release && $(CARGO) test -q
@@ -127,6 +127,11 @@ lint-sync:
 model-check:
 	rm -rf target/modelcheck
 	cd crates/modelcheck && CARGO_TARGET_DIR=$(CURDIR)/target $(CARGO) test --release
+
+# The net Rust line count ROADMAP.md tracks: tracked .rs lines outside
+# dynbench/ and crates/modelcheck/, then dynbench/ on its own.
+loc:
+	./tools/loc.sh
 
 clean:
 	$(CARGO) clean

@@ -1,4 +1,5 @@
-//! Criterion benches over the four demand-driven engines.
+//! Criterion benches over the demand-driven engines, each run by a
+//! `Session` of its kind.
 //!
 //! `query_stream/*` measures a whole NullDeref query stream per engine
 //! on the scaled `soot-c` workload (DYNSUM's cache persisting across the
@@ -8,6 +9,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use dynsum_bench::{EngineKind, ExperimentOptions};
 use dynsum_clients::{run_client, ClientKind};
+use dynsum_core::{DemandPointsTo, Session};
 
 fn options() -> ExperimentOptions {
     ExperimentOptions {
@@ -29,15 +31,8 @@ fn query_stream(c: &mut Criterion) {
     ] {
         group.bench_function(kind.name(), |b| {
             b.iter_batched(
-                || kind.build(&workload.pag, opts.engine_config()),
-                |mut engine| {
-                    run_client(
-                        ClientKind::NullDeref,
-                        &workload.pag,
-                        &workload.info,
-                        engine.as_mut(),
-                    )
-                },
+                || Session::with_config(&workload.pag, kind, opts.engine_config()),
+                |mut session| run_client(ClientKind::NullDeref, &workload.info, &mut session),
                 BatchSize::LargeInput,
             );
         });
@@ -57,8 +52,8 @@ fn single_query(c: &mut Criterion) {
     ] {
         group.bench_function(kind.name(), |b| {
             b.iter_batched(
-                || kind.build(&workload.pag, opts.engine_config()),
-                |mut engine| engine.points_to(var),
+                || Session::with_config(&workload.pag, kind, opts.engine_config()),
+                |mut session| session.points_to(var),
                 BatchSize::LargeInput,
             );
         });
@@ -71,15 +66,10 @@ fn warm_cache_query(c: &mut Criterion) {
     let workload = opts.workloads().remove(0);
     let var = workload.info.derefs[0].base;
     // Warm DYNSUM once with the full stream, then measure repeat queries.
-    let mut engine = EngineKind::DynSum.build(&workload.pag, opts.engine_config());
-    run_client(
-        ClientKind::NullDeref,
-        &workload.pag,
-        &workload.info,
-        engine.as_mut(),
-    );
+    let mut session = Session::with_config(&workload.pag, EngineKind::DynSum, opts.engine_config());
+    run_client(ClientKind::NullDeref, &workload.info, &mut session);
     c.bench_function("warm_cache_query/DYNSUM", |b| {
-        b.iter(|| engine.points_to(std::hint::black_box(var)));
+        b.iter(|| session.points_to(std::hint::black_box(var)));
     });
 }
 

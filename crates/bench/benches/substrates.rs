@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use dynsum_andersen::Andersen;
 use dynsum_bench::ExperimentOptions;
-use dynsum_core::{EngineConfig, StaSum};
+use dynsum_core::{EngineKind, Session};
 use dynsum_pag::text::{parse_pag, write_pag};
 use dynsum_workloads::{generate, GeneratorOptions, PROFILES};
 
@@ -28,13 +28,7 @@ fn andersen_solve(c: &mut Criterion) {
 fn stasum_precompute(c: &mut Criterion) {
     let workload = options().workloads().remove(0);
     c.bench_function("stasum_precompute/soot-c", |b| {
-        b.iter(|| {
-            StaSum::precompute_with(
-                std::hint::black_box(&workload.pag),
-                EngineConfig::default(),
-                Default::default(),
-            )
-        });
+        b.iter(|| Session::new(std::hint::black_box(&workload.pag), EngineKind::StaSum));
     });
 }
 

@@ -38,7 +38,7 @@ mod example {
 
     use dynsum_bench::ExperimentOptions;
     use dynsum_clients::{queries_for, ClientKind};
-    use dynsum_core::{EngineConfig, EngineKind, Session};
+    use dynsum_core::{EngineKind, Session};
     use dynsum_pag::VarId;
     use dynsum_service::json::{parse, Json};
     use dynsum_service::{serve_pair, Daemon, ServedWorkload, ServiceConfig};
@@ -204,10 +204,7 @@ usage:
                 std::process::exit(2);
             }
         };
-        let config = EngineConfig {
-            deterministic_reuse: true,
-            ..flags.opts.engine_config()
-        };
+        let config = flags.opts.engine_config();
         let workloads = flags.opts.workloads();
         if workloads.is_empty() {
             eprintln!("error: no benchmarks selected\n{USAGE}");

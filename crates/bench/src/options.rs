@@ -98,6 +98,7 @@ impl ExperimentOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynsum_core::{DemandPointsTo, Session};
 
     fn args(s: &str) -> impl Iterator<Item = String> + '_ {
         s.split_whitespace().map(str::to_owned)
@@ -148,7 +149,7 @@ mod tests {
             EngineKind::DynSum,
             EngineKind::StaSum,
         ] {
-            let mut e = kind.build(&w.pag, o.engine_config());
+            let mut e = Session::with_config(&w.pag, kind, o.engine_config());
             assert_eq!(e.name(), kind.name());
             if let Some(&q) = w.info.derefs.first().map(|d| &d.base) {
                 let _ = e.points_to(q);

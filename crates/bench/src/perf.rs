@@ -10,9 +10,9 @@
 
 use std::time::Instant;
 
-use dynsum_cfl::{CtxId, QueryResult};
+use dynsum_cfl::{CtxId, Outcome, QueryResult};
 use dynsum_clients::{queries_for, run_batches, run_client, ClientKind};
-use dynsum_core::{DemandPointsTo, DynSum, Session, SessionQuery};
+use dynsum_core::{DemandPointsTo, Session, SessionQuery};
 use dynsum_pag::ObjId;
 use dynsum_workloads::SCALABILITY_BENCHMARKS;
 
@@ -266,11 +266,6 @@ pub struct PerfReport {
     /// throughput per benchmark, each verified result-identical to the
     /// sequential path.
     pub warm_start: Vec<WarmStartPerf>,
-    /// Per-batch overhead of the 1-thread `Session::run_batch` path
-    /// relative to the legacy persistent `DynSum` engine on the same
-    /// streams, in percent (positive = session slower). The merge,
-    /// snapshot, and handle-reuse machinery should keep this small.
-    pub run_batch_overhead_vs_legacy_pct: f64,
     /// The service-daemon series: one point per client count, each
     /// verified answer-identical to a clean single-client session.
     pub service: Vec<ServicePerf>,
@@ -296,10 +291,13 @@ pub const DEFAULT_CLIENT_COUNTS: [usize; 3] = [1, 2, 4];
 /// Per-query result fingerprint: resolution flag plus the sorted
 /// `(object, allocation context)` pairs. Context ids are comparable
 /// across engines and thread counts because context pools are per-query
-/// scratch (see `StackPool::clear`).
+/// scratch (see `StackPool::clear`). An isolated engine panic (an
+/// empty, unresolved answer on every path alike) would pass the identity
+/// gates, so it stops the report instead.
 type ResultFingerprint = (bool, Vec<(ObjId, CtxId)>);
 
 fn fingerprint(r: &QueryResult) -> ResultFingerprint {
+    assert_ne!(r.outcome, Outcome::Panicked, "engine panic");
     (r.resolved, r.pts.iter().collect())
 }
 
@@ -333,9 +331,9 @@ pub fn perf_report_with_threads(
         for w in &workloads {
             for client in ClientKind::ALL {
                 let setup_started = Instant::now();
-                let mut engine = kind.build(&w.pag, config);
+                let mut session = Session::with_config(&w.pag, kind, config);
                 perf.setup_ms += setup_started.elapsed().as_secs_f64() * 1e3;
-                let report = run_client(client, &w.pag, &w.info, engine.as_mut());
+                let report = run_client(client, &w.info, &mut session);
                 perf.wall_ms += report.elapsed.as_secs_f64() * 1e3;
                 perf.edges_traversed += report.stats.edges_traversed;
                 perf.cache_hits += report.stats.cache_hits;
@@ -347,19 +345,19 @@ pub fn perf_report_with_threads(
         engines.push(perf);
     }
 
-    // The batched throughput run: one persistent DYNSUM engine per
+    // The batched throughput run: one persistent DYNSUM session per
     // benchmark, NullDeref stream split into 10 batches.
     let mut dynsum_batches = Vec::new();
     let mut total_queries = 0usize;
     let mut total_secs = 0.0f64;
     for w in &workloads {
-        let mut engine = EngineKind::DynSum.build(&w.pag, config);
+        let mut session = Session::with_config(&w.pag, EngineKind::DynSum, config);
         let batches = run_batches(
             ClientKind::NullDeref,
-            &w.pag,
             &w.info,
-            engine.as_mut(),
+            &mut session,
             PERF_BATCHES,
+            1,
         );
         let batch_ms: Vec<f64> = batches
             .iter()
@@ -381,15 +379,16 @@ pub fn perf_report_with_threads(
     };
 
     // The Session thread-scaling series, against per-query fingerprints
-    // from the sequential DemandPointsTo path (one legacy DynSum engine
-    // per stream, queries in order, cache warm within the stream).
+    // from the sequential DemandPointsTo path (one DYNSUM session per
+    // stream answering one query at a time, cache warm within the
+    // stream).
     let baseline: Vec<Vec<ResultFingerprint>> = workloads
         .iter()
         .map(|w| {
-            let mut engine = DynSum::with_config(&w.pag, config);
+            let mut session = Session::with_config(&w.pag, EngineKind::DynSum, config);
             queries_for(ClientKind::NullDeref, &w.info)
                 .iter()
-                .map(|q| fingerprint(&engine.points_to(q.var)))
+                .map(|q| fingerprint(&session.points_to(q.var)))
                 .collect()
         })
         .collect();
@@ -444,78 +443,6 @@ pub fn perf_report_with_threads(
             0.0
         };
     }
-    // Per-batch overhead of the session path vs the legacy persistent
-    // engine, both at 1 worker over the same batched streams. Measured
-    // as a paired comparison: five rounds, each producing one
-    // legacy/session throughput ratio from back-to-back runs, with the
-    // in-round order alternating (a drifting/throttling host slows
-    // whichever side runs later, and alternation flips that bias's
-    // sign); the median round ratio is the recorded figure, robust to
-    // both drift and one-off scheduler spikes.
-    let measure_legacy = || {
-        let mut queries_n = 0usize;
-        let mut secs = 0.0f64;
-        for w in &workloads {
-            let mut engine = DynSum::with_config(&w.pag, config);
-            for batch in dynsum_clients::split_batches(
-                queries_for(ClientKind::NullDeref, &w.info),
-                PERF_BATCHES,
-            ) {
-                let started = Instant::now();
-                for q in &batch {
-                    engine.points_to(q.var);
-                }
-                secs += started.elapsed().as_secs_f64();
-                queries_n += batch.len();
-            }
-        }
-        if secs > 0.0 {
-            queries_n as f64 / secs
-        } else {
-            0.0
-        }
-    };
-    let measure_session = || {
-        let mut queries_n = 0usize;
-        let mut secs = 0.0f64;
-        for w in &workloads {
-            let mut session = Session::with_config(&w.pag, dynsum_core::EngineKind::DynSum, config);
-            for batch in dynsum_clients::split_batches(
-                queries_for(ClientKind::NullDeref, &w.info),
-                PERF_BATCHES,
-            ) {
-                let sq: Vec<SessionQuery<'_>> =
-                    batch.iter().map(|q| SessionQuery::new(q.var)).collect();
-                let started = Instant::now();
-                session.run_batch(&sq, 1);
-                secs += started.elapsed().as_secs_f64();
-                queries_n += batch.len();
-            }
-        }
-        if secs > 0.0 {
-            queries_n as f64 / secs
-        } else {
-            0.0
-        }
-    };
-    let mut round_ratios = Vec::with_capacity(5);
-    for round in 0..5 {
-        let (legacy_qps, session_qps) = if round % 2 == 0 {
-            let l = measure_legacy();
-            (l, measure_session())
-        } else {
-            let s = measure_session();
-            (measure_legacy(), s)
-        };
-        if legacy_qps > 0.0 && session_qps > 0.0 {
-            round_ratios.push(legacy_qps / session_qps);
-        }
-    }
-    round_ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
-    let run_batch_overhead_vs_legacy_pct = round_ratios
-        .get(round_ratios.len() / 2)
-        .map_or(0.0, |median| (median - 1.0) * 100.0);
-
     // The cache-pressure sweep: uncapped first (its natural cache size
     // anchors the swept caps), then caps at 1/2, 1/8 and 0 of it —
     // hit rate and throughput fall as the cap tightens while results
@@ -566,7 +493,6 @@ pub fn perf_report_with_threads(
         session_scaling,
         cache_pressure,
         warm_start,
-        run_batch_overhead_vs_legacy_pct,
         service,
     }
 }
@@ -596,13 +522,6 @@ fn service_point(
 
     /// Closed-loop queries each client issues (streams cycle if short).
     const QUERIES_PER_CLIENT: usize = 200;
-
-    // The daemon forces deterministic reuse; the reference sessions must
-    // run under identical semantics for byte-comparison to be fair.
-    let config = dynsum_core::EngineConfig {
-        deterministic_reuse: true,
-        ..config
-    };
 
     // Per-workload reference: variable -> clean-session fingerprint.
     let reference: Vec<HashMap<dynsum_pag::VarId, u64>> = workloads
@@ -1075,10 +994,6 @@ pub fn render_perf_json(r: &PerfReport) -> String {
         });
     }
     out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"run_batch_1thread_overhead_vs_legacy_pct\": {},\n",
-        json_f64(r.run_batch_overhead_vs_legacy_pct)
-    ));
     out.push_str("  \"cache_pressure\": [\n");
     for (i, p) in r.cache_pressure.iter().enumerate() {
         out.push_str("    {\n");
@@ -1233,7 +1148,6 @@ mod tests {
             r.cache_pressure.iter().any(|p| p.evictions > 0),
             "the tight cap points must actually evict"
         );
-        assert!(r.run_batch_overhead_vs_legacy_pct.is_finite());
 
         // The warm-restart series: one point per benchmark, snapshot
         // intact, restore complete, and — the snapshot contract — cold
@@ -1284,7 +1198,6 @@ mod tests {
         assert!(json.contains("\"dynsum_batch_throughput_qps\""));
         assert!(json.contains("\"cache_hit_rate\""));
         assert!(json.contains("\"cache_pressure\""));
-        assert!(json.contains("\"run_batch_1thread_overhead_vs_legacy_pct\""));
         assert!(json.contains("\"cap\": null"), "uncapped point recorded");
         // Brackets balance (cheap well-formedness check without a parser).
         for (open, close) in [('{', '}'), ('[', ']')] {

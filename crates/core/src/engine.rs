@@ -26,31 +26,16 @@ pub struct EngineConfig {
     /// the context-insensitive `L_FT`-only analysis (§3.2), which must
     /// agree exactly with the Andersen oracle.
     pub context_sensitive: bool,
-    /// Deterministic reuse accounting (DYNSUM): a summary-cache hit
-    /// charges the summary's recorded cold cost against the query budget
-    /// instead of being free, making every query's outcome a pure
-    /// function of `(pag, config, query)` — the property behind
-    /// [`Session::run_batch`](crate::Session::run_batch)'s byte-identical
-    /// parallel results.
-    ///
-    /// The price is resolution rate: queries that only fit the budget
-    /// because warm hits were free now abort over-budget exactly as they
-    /// would on a cold engine (the medium-profile perf report went from
-    /// 33 to 59 unresolved across the three clients). Set `false` to
-    /// restore the paper's free-reuse economics for single-engine
-    /// replication runs — with it off, warm results may depend on query
-    /// order and cache state, and `run_batch` results may vary with the
-    /// thread count.
-    pub deterministic_reuse: bool,
     /// Size cap on the DYNSUM summary cache: after each query (and after
     /// every [`Session::absorb`](crate::Session::absorb) merge) a clock
     /// sweep evicts entries down to this many, keeping a long-lived
     /// query stream's memory bounded. `None` (the default) never evicts.
     ///
-    /// With [`deterministic_reuse`](Self::deterministic_reuse) on,
-    /// eviction **cannot change any query's outcome** — reuse charges
-    /// cold cost, so results are cache-independent by construction; the
-    /// cap only trades hit rate (wall-clock) for memory. In a
+    /// Eviction **cannot change any query's outcome**: a DYNSUM cache hit
+    /// charges the summary's recorded cold cost against the query budget
+    /// (see [`Summary::cost`](crate::Summary::cost)), so results are
+    /// cache-independent by construction and the cap only trades hit
+    /// rate (wall-clock) for memory. In a
     /// [`Session`](crate::Session), the cap bounds the shared cache and
     /// each worker's in-flight shard separately.
     pub max_cached_summaries: Option<usize>,
@@ -75,7 +60,6 @@ impl Default for EngineConfig {
             cache_summaries: true,
             max_refinements: 32,
             context_sensitive: true,
-            deterministic_reuse: true,
             max_cached_summaries: None,
             worker_stack_bytes: 64 * 1024 * 1024,
         }
@@ -102,15 +86,17 @@ impl EngineConfig {
     /// [`max_field_depth`](Self::max_field_depth),
     /// [`max_ctx_depth`](Self::max_ctx_depth),
     /// [`cache_summaries`](Self::cache_summaries),
-    /// [`max_refinements`](Self::max_refinements),
-    /// [`context_sensitive`](Self::context_sensitive) and
-    /// [`deterministic_reuse`](Self::deterministic_reuse).
+    /// [`max_refinements`](Self::max_refinements) and
+    /// [`context_sensitive`](Self::context_sensitive). A constant `1`
+    /// byte follows them, in the slot of a retired always-on setting, so
+    /// the digest and every snapshot written before its retirement stay
+    /// valid.
     ///
     /// Deliberately **not** covered:
     /// [`max_cached_summaries`](Self::max_cached_summaries) and
     /// [`worker_stack_bytes`](Self::worker_stack_bytes). Neither can
     /// change any query's
-    /// outcome (eviction is outcome-free under deterministic reuse, and
+    /// outcome (eviction is outcome-free, and
     /// the stack reservation only affects spawn success), so a snapshot
     /// saved under one cap loads cleanly under another — the load path
     /// re-enforces the loader's cap.
@@ -123,7 +109,7 @@ impl EngineConfig {
         h.write_u8(u8::from(self.cache_summaries));
         h.write_u32(self.max_refinements);
         h.write_u8(u8::from(self.context_sensitive));
-        h.write_u8(u8::from(self.deterministic_reuse));
+        h.write_u8(1);
         h.finish()
     }
 }
@@ -144,8 +130,12 @@ pub fn never_satisfied(_: &PointsToSet) -> bool {
     false
 }
 
-/// The common interface of the four demand-driven points-to engines
-/// (Table 2): NOREFINE, REFINEPTS, DYNSUM and STASUM.
+/// The common query interface of the four demand-driven points-to
+/// engines of Table 2 — NOREFINE, REFINEPTS, DYNSUM and STASUM — each run
+/// by a [`Session`](crate::Session) of the matching
+/// [`EngineKind`](crate::EngineKind). A `Session` answers one query at a
+/// time through it; a [`QueryHandle`](crate::QueryHandle) answers on a
+/// private shard until it is absorbed.
 pub trait DemandPointsTo {
     /// Engine name as used in the paper's tables.
     fn name(&self) -> &'static str;
@@ -164,12 +154,7 @@ pub trait DemandPointsTo {
     /// (DYNSUM's `Cache` size / STASUM's precomputed store; 0 for the
     /// engines without cross-query memorization). This is the quantity
     /// plotted in Figure 5.
-    fn summary_count(&self) -> usize {
-        0
-    }
-
-    /// Drops all cross-query state, as if freshly constructed.
-    fn reset(&mut self);
+    fn summary_count(&self) -> usize;
 }
 
 /// Result of a context-stack operation: the successor context, or `None`
@@ -469,6 +454,27 @@ mod tests {
     fn default_config_matches_paper_budget() {
         assert_eq!(EngineConfig::default().budget, 75_000);
         assert!(EngineConfig::default().context_sensitive);
+    }
+
+    #[test]
+    fn semantic_digest_is_pinned() {
+        // Snapshot headers and the daemon's snapshot file names carry this
+        // digest: a new value turns every saved snapshot into a cold start.
+        assert_eq!(
+            EngineConfig::default().semantic_digest(),
+            0xbb83_30b8_7caa_f8ee
+        );
+        let other = EngineConfig {
+            budget: 1_000,
+            max_field_depth: 7,
+            max_ctx_depth: 3,
+            cache_summaries: false,
+            max_refinements: 4,
+            context_sensitive: false,
+            max_cached_summaries: Some(5),
+            worker_stack_bytes: 1 << 20,
+        };
+        assert_eq!(other.semantic_digest(), 0x3306_a914_6ebf_777f);
     }
 
     /// The per-edge context pop the kernel replaced, kept as its oracle.

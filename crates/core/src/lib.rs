@@ -4,13 +4,14 @@
 //! Summary-based Points-to Analysis* (Shang, Xie, Xue — CGO 2012) over
 //! the Pointer Assignment Graphs of [`dynsum_pag`]:
 //!
-//! | engine | paper role | memorization |
+//! | [`EngineKind`] | paper role | memorization |
 //! |--------|-----------|--------------|
-//! | [`NoRefine`] | Algorithm 1 without refinement or caching | none |
-//! | [`RefinePts`] | Algorithms 1–2 (Sridharan–Bodík PLDI'06) | within a query |
-//! | [`DynSum`] | **Algorithms 3–4 — the paper's contribution** | context-independent summaries, across queries |
-//! | [`StaSum`] | Yan et al. ISSTA'11 | all-pairs static summaries, precomputed |
+//! | [`NoRefine`](EngineKind::NoRefine) | Algorithm 1 without refinement or caching | none |
+//! | [`RefinePts`](EngineKind::RefinePts) | Algorithms 1–2 (Sridharan–Bodík PLDI'06) | within a query |
+//! | [`DynSum`](EngineKind::DynSum) | **Algorithms 3–4 — the paper's contribution** | context-independent summaries, across queries |
+//! | [`StaSum`](EngineKind::StaSum) | Yan et al. ISSTA'11 | all-pairs static summaries, precomputed |
 //!
+//! A [`Session`] runs one engine kind, and it is the only engine type.
 //! All engines answer the same question — `pointsTo(v, c)` as
 //! CFL-reachability in `L_FT ∩ R_RP` — over one shared configuration
 //! space `(node, field stack, direction, context)`, so their precision is
@@ -20,8 +21,10 @@
 //!
 //! Each engine is split into a shareable half (frozen PAG + config +
 //! DYNSUM's summary cache / STASUM's precomputed store) and a per-thread
-//! scratch half. The [`Session`] API packages the former and hands out
-//! `Send` [`QueryHandle`]s owning the latter; [`Session::run_batch`]
+//! scratch half. A [`Session`] owns the former, answers queries one at a
+//! time through [`DemandPointsTo`] (with [`Session::explain`] adding the
+//! paper's Table 1 trace), and hands out `Send` [`QueryHandle`]s owning
+//! the latter; [`Session::run_batch`]
 //! runs query batches across threads with results byte-identical to
 //! sequential execution (deterministic budget accounting — see
 //! [`Summary::cost`]). Batches are interruptible and fault-isolated:
@@ -37,7 +40,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use dynsum_core::{DemandPointsTo, DynSum};
+//! use dynsum_core::{DemandPointsTo, EngineKind, Session};
 //! use dynsum_pag::PagBuilder;
 //!
 //! // main: v = new O; w = v;
@@ -50,9 +53,15 @@
 //! b.add_assign(v, w)?;
 //! let pag = b.finish();
 //!
-//! let mut engine = DynSum::new(&pag);
-//! let result = engine.points_to(w);
+//! let mut session = Session::new(&pag, EngineKind::DynSum);
+//! let result = session.points_to(w);
 //! assert!(result.resolved && result.pts.contains_obj(o));
+//!
+//! // The same query again, with the driver's step trace (Table 1): the
+//! // summaries the first query cached are reused.
+//! let (again, trace) = session.explain(w);
+//! assert_eq!(again.pts, result.pts);
+//! assert!(trace.reuse_count() > 0);
 //! # Ok::<(), dynsum_pag::BuildError>(())
 //! ```
 
@@ -73,10 +82,7 @@ mod stasum;
 mod summary;
 
 pub use alias::{may_alias, AliasQuery, AliasResult};
-pub use dynsum::DynSum;
 pub use engine::{never_satisfied, ClientCheck, DemandPointsTo, EngineConfig};
-pub use norefine::NoRefine;
-pub use refinepts::RefinePts;
 pub use session::{
     BatchControl, EngineKind, FaultPlan, QueryHandle, Session, SessionHealth, SessionQuery,
     SummaryShard,
@@ -84,5 +90,4 @@ pub use session::{
 pub use snapshot::{
     pag_fingerprint, SnapshotLoad, SnapshotReject, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
-pub use stasum::{StaSum, StaSumOptions, StaSumStats};
 pub use summary::{CacheStats, Summary, SummaryCache, SummaryKey};

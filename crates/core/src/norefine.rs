@@ -1,15 +1,19 @@
-//! NOREFINE — the refinement-free, cache-free baseline (Table 2).
+//! NOREFINE — the refinement-free, cache-free baseline (Table 2):
+//! Sridharan–Bodík demand-driven CFL-reachability with every load
+//! explored field-sensitively from the start, no refinement loop, and no
+//! memorization across queries. It delivers full precision (like DYNSUM)
+//! but repeats every traversal on every query — the paper's slowest
+//! baseline in most configurations.
 
 use dynsum_cfl::{QueryControl, QueryResult, QueryStats, Ticket};
 use dynsum_pag::{CallSiteId, Pag, VarId};
 
-use crate::engine::{ClientCheck, DemandPointsTo, EngineConfig};
+use crate::engine::EngineConfig;
 use crate::search::{search, Refinement, SearchParts};
 
-/// Runs one NOREFINE query over borrowed per-handle state. Shared by the
-/// legacy [`NoRefine`] engine and [`Session`](crate::Session) query
-/// handles: the engine is stateless across queries, so everything it
-/// needs besides the frozen PAG and config lives in `parts`.
+/// Runs one NOREFINE query over borrowed per-handle state. The engine is
+/// stateless across queries, so everything it needs besides the frozen
+/// PAG and config lives in `parts`.
 ///
 /// The context pool is per-query scratch (cleared here), so the returned
 /// result — including the raw context ids inside the points-to set — is
@@ -45,117 +49,11 @@ pub(crate) fn norefine_query(
     }
 }
 
-/// The NOREFINE engine: Sridharan–Bodík demand-driven CFL-reachability
-/// with every load explored field-sensitively from the start, no
-/// refinement loop, and no memorization across queries.
-///
-/// It delivers full precision (like DYNSUM) but repeats every traversal
-/// on every query — the paper's slowest baseline in most configurations.
-///
-/// # Examples
-///
-/// ```
-/// use dynsum_core::{DemandPointsTo, NoRefine};
-/// use dynsum_pag::PagBuilder;
-///
-/// let mut b = PagBuilder::new();
-/// let m = b.add_method("main", None)?;
-/// let v = b.add_local("v", m, None)?;
-/// let o = b.add_obj("o1", None, Some(m))?;
-/// b.add_new(o, v)?;
-/// let pag = b.finish();
-/// let mut engine = NoRefine::new(&pag);
-/// assert!(engine.points_to(v).pts.contains_obj(o));
-/// # Ok::<(), dynsum_pag::BuildError>(())
-/// ```
-#[derive(Debug)]
-pub struct NoRefine<'p> {
-    pag: &'p Pag,
-    parts: SearchParts,
-    config: EngineConfig,
-    control: QueryControl,
-}
-
-impl<'p> NoRefine<'p> {
-    /// Creates an engine with the default configuration.
-    pub fn new(pag: &'p Pag) -> Self {
-        Self::with_config(pag, EngineConfig::default())
-    }
-
-    /// Creates an engine with an explicit configuration.
-    pub fn with_config(pag: &'p Pag, config: EngineConfig) -> Self {
-        NoRefine {
-            pag,
-            parts: SearchParts::default(),
-            config,
-            control: QueryControl::default(),
-        }
-    }
-
-    /// Creates the **context-insensitive** variant: entries/exits are
-    /// treated as plain assignments, computing pure `L_FT` reachability
-    /// (§3.2). Its answers must coincide exactly with the Andersen
-    /// whole-program solution — the test suite's oracle equality.
-    pub fn context_insensitive(pag: &'p Pag) -> Self {
-        Self::with_config(
-            pag,
-            EngineConfig {
-                context_sensitive: false,
-                ..EngineConfig::default()
-            },
-        )
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// Attaches interruption controls (cancellation token, deadline) to
-    /// every subsequent query.
-    pub fn set_control(&mut self, control: QueryControl) {
-        self.control = control;
-    }
-
-    /// Answers `pointsTo(v, c)` for an explicit initial context.
-    pub fn points_to_in(&mut self, v: VarId, ctx: &[CallSiteId]) -> QueryResult {
-        norefine_query(
-            self.pag,
-            &self.config,
-            &mut self.parts,
-            v,
-            ctx,
-            &self.control,
-        )
-    }
-}
-
-impl DemandPointsTo for NoRefine<'_> {
-    fn name(&self) -> &'static str {
-        "NOREFINE"
-    }
-
-    /// No refinement: the predicate is ignored, the full field-sensitive
-    /// answer is computed directly.
-    fn query(&mut self, v: VarId, _satisfied: ClientCheck<'_>) -> QueryResult {
-        norefine_query(
-            self.pag,
-            &self.config,
-            &mut self.parts,
-            v,
-            &[],
-            &self.control,
-        )
-    }
-
-    fn reset(&mut self) {
-        self.parts = SearchParts::default();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::DemandPointsTo;
+    use crate::session::{EngineKind, QueryHandle, Session};
     use dynsum_pag::PagBuilder;
 
     #[test]
@@ -180,7 +78,7 @@ mod tests {
         b.add_store(f, x2, p2).unwrap();
         b.add_load(f, p1, y).unwrap();
         let pag = b.finish();
-        let mut e = NoRefine::new(&pag);
+        let mut e = Session::new(&pag, EngineKind::NoRefine);
         let r = e.points_to(y);
         assert!(r.resolved);
         assert_eq!(r.pts.objects().into_iter().collect::<Vec<_>>(), vec![o1]);
@@ -199,7 +97,7 @@ mod tests {
         b.add_new(o, v).unwrap();
         b.add_assign(v, w).unwrap();
         let pag = b.finish();
-        let mut e = NoRefine::new(&pag);
+        let mut e = Session::new(&pag, EngineKind::NoRefine);
         let r1 = e.points_to(w);
         let r2 = e.points_to(w);
         assert_eq!(r1.stats.edges_traversed, r2.stats.edges_traversed);
@@ -215,31 +113,51 @@ mod tests {
         let o = b.add_obj("o", None, Some(m)).unwrap();
         b.add_new(o, v).unwrap();
         let pag = b.finish();
-        let mut e = NoRefine::new(&pag);
+        let session = Session::new(&pag, EngineKind::NoRefine);
+        let mut h: QueryHandle<'_, '_> = session.handle();
         let token = Arc::new(CancelToken::new());
         token.cancel();
-        e.set_control(
-            dynsum_cfl::QueryControl::new()
-                .cancelled_by(token)
-                .poll_every(1),
-        );
-        let r = e.points_to(v);
+        let cancelled = QueryControl::new().cancelled_by(token).poll_every(1);
+        let never = crate::engine::never_satisfied;
+        let r = h.query_with(v, &never, &cancelled);
         assert!(!r.resolved);
         assert_eq!(r.outcome, Outcome::Cancelled);
-        // A fresh control resumes normal service on the same engine.
-        e.set_control(dynsum_cfl::QueryControl::default());
-        let r = e.points_to(v);
+        // A fresh control resumes normal service on the same handle.
+        let r = h.query_with(v, &never, &QueryControl::default());
         assert!(r.resolved && r.pts.contains_obj(o));
     }
 
     #[test]
     fn context_insensitive_constructor() {
+        // id(p){return p} from two sites: the context-insensitive
+        // configuration (§3.2) merges what the call sites keep apart.
         let mut b = PagBuilder::new();
-        let m = b.add_method("m", None).unwrap();
-        let v = b.add_local("v", m, None).unwrap();
-        let _ = v;
+        let main = b.add_method("main", None).unwrap();
+        let id = b.add_method("id", None).unwrap();
+        let a1 = b.add_local("a1", main, None).unwrap();
+        let a2 = b.add_local("a2", main, None).unwrap();
+        let r1 = b.add_local("r1", main, None).unwrap();
+        let p = b.add_local("p", id, None).unwrap();
+        let o1 = b.add_obj("o1", None, Some(main)).unwrap();
+        let o2 = b.add_obj("o2", None, Some(main)).unwrap();
+        b.add_new(o1, a1).unwrap();
+        b.add_new(o2, a2).unwrap();
+        let s1 = b.add_call_site("1", main).unwrap();
+        let s2 = b.add_call_site("2", main).unwrap();
+        b.add_entry(s1, a1, p).unwrap();
+        b.add_entry(s2, a2, p).unwrap();
+        b.add_exit(s1, p, r1).unwrap();
         let pag = b.finish();
-        let e = NoRefine::context_insensitive(&pag);
-        assert!(!e.config().context_sensitive);
+        let config = EngineConfig {
+            context_sensitive: false,
+            ..EngineConfig::default()
+        };
+        let mut insensitive = Session::with_config(&pag, EngineKind::NoRefine, config);
+        assert!(!insensitive.config().context_sensitive);
+        let merged = insensitive.points_to(r1).pts.objects();
+        assert!(merged.contains(&o1) && merged.contains(&o2));
+        let mut sensitive = Session::new(&pag, EngineKind::NoRefine);
+        let precise = sensitive.points_to(r1).pts.objects();
+        assert_eq!(precise.into_iter().collect::<Vec<_>>(), vec![o1]);
     }
 }

@@ -74,10 +74,9 @@ pub(crate) struct SearchScratch {
 }
 
 /// The complete per-handle working state of the search-based engines
-/// (NOREFINE / REFINEPTS): interning pools plus worklist buffers. Owned
-/// by the legacy engine structs and by [`Session`](crate::Session) query
-/// handles alike — everything shareable lives in the session, everything
-/// mutable lives here.
+/// (NOREFINE / REFINEPTS): interning pools plus worklist buffers, owned
+/// by a [`Session`](crate::Session) query handle — everything shareable
+/// lives in the session, everything mutable lives here.
 #[derive(Debug, Default)]
 pub(crate) struct SearchParts {
     pub(crate) fields: StackPool<FieldFrame>,
@@ -473,7 +472,7 @@ mod tests {
 
     #[test]
     fn unrealizable_paths_filtered() {
-        // Same shape as DynSum's two_callers test; the search engine must
+        // Same shape as the DYNSUM tests' two_callers; the search engine must
         // agree.
         let mut b = PagBuilder::new();
         let main = b.add_method("main", None).unwrap();

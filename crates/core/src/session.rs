@@ -9,9 +9,9 @@
 //! engine kind, DYNSUM's accumulated summary cache or STASUM's
 //! precomputed relative store — and [`Session::handle`] hands out
 //! lightweight [`QueryHandle`]s owning the interning pools, worklist
-//! buffers, and (for DYNSUM) a private cache *shard*. Handles implement
-//! [`DemandPointsTo`], so everything written against the legacy engines
-//! works against a handle unchanged.
+//! buffers, and (for DYNSUM) a private cache *shard*. The session itself
+//! implements [`DemandPointsTo`] — each query a one-query batch — and so
+//! do handles, so client code written against the trait runs on either.
 //!
 //! [`Session::run_batch`] executes a query batch across scoped threads
 //! with a **sharded, merge-on-join** cache discipline: every worker reads
@@ -75,23 +75,21 @@ use std::time::Instant;
 
 use dynsum_cfl::{
     CancelToken, FieldFrame, FieldStackId, FxHashMap, Interrupt, Outcome, QueryControl,
-    QueryResult, StackPool,
+    QueryResult, StackPool, Trace,
 };
 use dynsum_pag::{MethodId, Pag, VarId};
 
 use crate::driver::DriveParts;
-use crate::dynsum::{dynsum_query, DynSum};
+use crate::dynsum::dynsum_query;
 use crate::engine::{never_satisfied, ClientCheck, DemandPointsTo, EngineConfig};
-use crate::norefine::{norefine_query, NoRefine};
-use crate::refinepts::{refinepts_query, RefinePts};
+use crate::norefine::norefine_query;
+use crate::refinepts::refinepts_query;
 use crate::search::SearchParts;
-use crate::stasum::{stasum_precompute, stasum_query, StaSum, StaSumOptions, StaSumShared};
+use crate::stasum::{stasum_precompute, stasum_query, StaSumShared};
 use crate::summary::{CacheStats, Summary, SummaryCache, SummaryKey};
 
-/// The four demand-driven engines of Table 2, constructible by name.
-///
-/// Used both to pick a [`Session`]'s engine and to build standalone
-/// [`DemandPointsTo`] boxes (the benchmark harness's historical API).
+/// The four demand-driven engines of Table 2, by name: what a
+/// [`Session`] runs.
 #[derive(Debug, Copy, Clone, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// NOREFINE baseline.
@@ -132,24 +130,12 @@ impl EngineKind {
 
     /// Parses a table name back to a kind, case-insensitively
     /// (`"dynsum"`, `"DYNSUM"`, …). The inverse of [`name`](Self::name);
-    /// CLI front-ends (`fuzz_engines --engine`) use it via the
-    /// [`FromStr`](std::str::FromStr) impl.
+    /// CLI front-ends (`dynsum --engine`, `fuzz_engines --engine`) use it
+    /// via the [`FromStr`](std::str::FromStr) impl.
     pub fn parse(s: &str) -> Option<EngineKind> {
         EngineKind::ALL
             .into_iter()
             .find(|k| k.name().eq_ignore_ascii_case(s))
-    }
-
-    /// Instantiates a fresh standalone engine over `pag`.
-    pub fn build<'p>(self, pag: &'p Pag, config: EngineConfig) -> Box<dyn DemandPointsTo + 'p> {
-        match self {
-            EngineKind::NoRefine => Box::new(NoRefine::with_config(pag, config)),
-            EngineKind::RefinePts => Box::new(RefinePts::with_config(pag, config)),
-            EngineKind::DynSum => Box::new(DynSum::with_config(pag, config)),
-            EngineKind::StaSum => {
-                Box::new(StaSum::precompute_with(pag, config, Default::default()))
-            }
-        }
     }
 }
 
@@ -413,9 +399,8 @@ impl<'p> Session<'p> {
         Self::with_config(pag, kind, EngineConfig::default())
     }
 
-    /// Creates a session with an explicit configuration (STASUM uses
-    /// default [`StaSumOptions`]; see
-    /// [`with_stasum_options`](Self::with_stasum_options)).
+    /// Creates a session with an explicit configuration. STASUM
+    /// sessions run their whole-program precomputation here.
     pub fn with_config(pag: &'p Pag, kind: EngineKind, config: EngineConfig) -> Self {
         let state = match kind {
             EngineKind::NoRefine => SharedState::NoRefine,
@@ -424,33 +409,13 @@ impl<'p> Session<'p> {
                 cache: SummaryCache::new(),
                 fields: StackPool::new(),
             },
-            EngineKind::StaSum => {
-                SharedState::StaSum(stasum_precompute(pag, &config, StaSumOptions::default()))
-            }
+            EngineKind::StaSum => SharedState::StaSum(stasum_precompute(pag, &config)),
         };
         Session {
             pag,
             config,
             kind,
             state,
-            epoch: 0,
-            invalidated_at: FxHashMap::default(),
-            warm: Vec::new(),
-            spawn_failures: 0,
-            stale_rejected: 0,
-            cancellations: 0,
-            deadline_trips: 0,
-            query_panics: 0,
-        }
-    }
-
-    /// Creates a STASUM session with explicit precomputation options.
-    pub fn with_stasum_options(pag: &'p Pag, config: EngineConfig, options: StaSumOptions) -> Self {
-        Session {
-            pag,
-            config,
-            kind: EngineKind::StaSum,
-            state: SharedState::StaSum(stasum_precompute(pag, &config, options)),
             epoch: 0,
             invalidated_at: FxHashMap::default(),
             warm: Vec::new(),
@@ -483,7 +448,7 @@ impl<'p> Session<'p> {
     pub fn summary_count(&self) -> usize {
         match &self.state {
             SharedState::DynSum { cache, .. } => cache.len(),
-            SharedState::StaSum(shared) => shared.stats().summaries,
+            SharedState::StaSum(shared) => shared.len(),
             _ => 0,
         }
     }
@@ -714,9 +679,16 @@ impl<'p> Session<'p> {
         }
     }
 
-    /// Evicts the shared summaries of one method (the incremental-edit
-    /// story — see [`DynSum::invalidate_method`]). Returns the number of
-    /// evicted entries; 0 for engines without a cache.
+    /// Evicts the shared summaries of one method, keeping everything
+    /// else. Returns the number of evicted entries; 0 for engines without
+    /// a cache.
+    ///
+    /// This is the incremental-analysis story the paper motivates for
+    /// JIT compilers and IDEs (§1, §7): when an edit invalidates a single
+    /// method body, only that method's context-independent summaries
+    /// need recomputing — summaries are keyed by node, and local edges
+    /// never cross method boundaries, so summaries of untouched methods
+    /// stay valid.
     ///
     /// Outstanding shards are fenced, not drained: the session's
     /// invalidation epoch is bumped, and [`absorb`](Self::absorb)
@@ -756,9 +728,8 @@ impl<'p> Session<'p> {
     /// against the per-query budget, so no query's outcome depends on
     /// what any other query cached or on which worker ran it.
     ///
-    /// A 1-thread batch runs directly on the calling thread — same
-    /// checkout/merge machinery, no thread spawn — so per-batch
-    /// overhead vs the legacy engine is just the merge. If a
+    /// A 1-thread batch runs the same claim loop directly on the calling
+    /// thread — same checkout and merge, no thread spawn. If a
     /// multi-thread batch's worker cannot be spawned (stack/rlimit
     /// pressure), the batch degrades to the workers that did spawn —
     /// the unclaimed queries are simply drained by fewer threads, by
@@ -766,9 +737,9 @@ impl<'p> Session<'p> {
     /// panicking; [`spawn_failures`](Self::spawn_failures) counts the
     /// degradations.
     ///
-    /// Queries on the calling thread run PPTA recursion on the caller's
-    /// stack — exactly like the legacy engines' `points_to` always has
-    /// — which is typically smaller than
+    /// Queries on the calling thread — every 1-thread batch, and every
+    /// query through [`DemandPointsTo`] — run PPTA recursion on the
+    /// caller's stack, which is typically smaller than
     /// [`EngineConfig::worker_stack_bytes`]. Callers with unusually
     /// deep-recursion workloads who relied on the worker reservation
     /// should pass `threads >= 2` (reserved-stack workers) or raise
@@ -802,76 +773,75 @@ impl<'p> Session<'p> {
         }
         let threads = threads.clamp(1, queries.len());
         let epoch = self.epoch;
-        if threads == 1 {
-            // The sequential fast path: same slot checkout, chunk run,
-            // and shard merge as the parallel path, minus the scoped
-            // spawn/join a lone worker would only pay overhead for.
-            let slot = self.checkout();
-            let (out, scratch) = run_chunk(self, slot, queries, 0, epoch, control);
-            self.retire_slot(scratch, epoch);
-            self.finish_merge();
-            self.count_outcomes(&out);
-            return out;
-        }
-        let mut slots: Vec<HandleScratch> = (0..threads).map(|_| self.checkout()).collect();
-        let stack_bytes = self.config.worker_stack_bytes;
-        let sess: &Session<'p> = self;
         let cursor = AtomicUsize::new(0);
         let cursor = &cursor;
-        let (per_worker, failures) = thread::scope(|scope| {
-            let mut spawned = Vec::with_capacity(threads);
-            let mut failures = 0u64;
-            for wi in 0..threads {
-                // The slot moves into the spawn closure, so a failed
-                // spawn forfeits it; the surviving workers (or the
-                // degraded in-line pass below) absorb its share of the
-                // cursor (rare path, correctness unaffected).
-                let slot = slots.pop().expect("one slot per worker");
-                if control.injects_spawn_failure(wi) {
-                    // An injected spawn failure forfeits the slot too,
-                    // mirroring the real failure path exactly.
-                    drop(slot);
-                    failures += 1;
-                    continue;
+        let per_worker = if threads == 1 {
+            // The sequential fast path: the same slot checkout, claim loop
+            // and shard merge as the parallel path, minus the scoped
+            // spawn/join a lone worker would only pay overhead for. The
+            // uncontended cursor hands out indices in input order.
+            let slot = self.checkout();
+            vec![run_stealing(self, slot, queries, cursor, epoch, control)]
+        } else {
+            let mut slots: Vec<HandleScratch> = (0..threads).map(|_| self.checkout()).collect();
+            let stack_bytes = self.config.worker_stack_bytes;
+            let sess: &Session<'p> = self;
+            let (per_worker, failures) = thread::scope(|scope| {
+                let mut spawned = Vec::with_capacity(threads);
+                let mut failures = 0u64;
+                for wi in 0..threads {
+                    // The slot moves into the spawn closure, so a failed
+                    // spawn forfeits it; the surviving workers (or the
+                    // degraded in-line pass below) absorb its share of the
+                    // cursor (rare path, correctness unaffected).
+                    let slot = slots.pop().expect("one slot per worker");
+                    if control.injects_spawn_failure(wi) {
+                        // An injected spawn failure forfeits the slot too,
+                        // mirroring the real failure path exactly.
+                        drop(slot);
+                        failures += 1;
+                        continue;
+                    }
+                    let spawn = thread::Builder::new()
+                        .stack_size(stack_bytes)
+                        .spawn_scoped(scope, move || {
+                            run_stealing(sess, slot, queries, cursor, epoch, control)
+                        });
+                    match spawn {
+                        Ok(worker) => spawned.push(worker),
+                        Err(_) => failures += 1,
+                    }
                 }
-                let spawn = thread::Builder::new()
-                    .stack_size(stack_bytes)
-                    .spawn_scoped(scope, move || {
-                        run_stealing(sess, slot, queries, cursor, epoch, control)
-                    });
-                match spawn {
-                    Ok(worker) => spawned.push(worker),
-                    Err(_) => failures += 1,
+                let mut per_worker: Vec<(Vec<(usize, QueryResult)>, HandleScratch)> =
+                    Vec::with_capacity(threads);
+                if failures > 0 {
+                    // Degraded mode: the calling thread joins the claim
+                    // loop, overlapping any workers that did spawn, so the
+                    // batch always drains even when no worker could start.
+                    per_worker.push(run_stealing(
+                        sess,
+                        sess.new_scratch(),
+                        queries,
+                        cursor,
+                        epoch,
+                        control,
+                    ));
                 }
-            }
-            let mut per_worker: Vec<(Vec<(usize, QueryResult)>, HandleScratch)> =
-                Vec::with_capacity(threads);
-            if failures > 0 {
-                // Degraded mode: the calling thread joins the claim
-                // loop, overlapping any workers that did spawn, so the
-                // batch always drains even when no worker could start.
-                per_worker.push(run_stealing(
-                    sess,
-                    sess.new_scratch(),
-                    queries,
-                    cursor,
-                    epoch,
-                    control,
-                ));
-            }
-            for worker in spawned {
-                match worker.join() {
-                    Ok(pair) => per_worker.push(pair),
-                    // Per-query panics are caught inside the claim
-                    // loop; a panic that still reaches the join is an
-                    // engine bug outside any query — re-raise the
-                    // original payload rather than masking it.
-                    Err(payload) => std::panic::resume_unwind(payload),
+                for worker in spawned {
+                    match worker.join() {
+                        Ok(pair) => per_worker.push(pair),
+                        // Per-query panics are caught inside the claim
+                        // loop; a panic that still reaches the join is an
+                        // engine bug outside any query — re-raise the
+                        // original payload rather than masking it.
+                        Err(payload) => std::panic::resume_unwind(payload),
+                    }
                 }
-            }
-            (per_worker, failures)
-        });
-        self.spawn_failures += failures;
+                (per_worker, failures)
+            });
+            self.spawn_failures += failures;
+            per_worker
+        };
         // Scatter the claimed (index, result) pairs back into input
         // order; the claim loop visits every index exactly once, so
         // every cell fills.
@@ -915,6 +885,51 @@ impl<'p> Session<'p> {
         let queries: Vec<SessionQuery<'_>> = vars.iter().map(|&v| SessionQuery::new(v)).collect();
         self.run_batch(&queries, threads)
     }
+
+    /// Answers `pointsTo(v, ∅)` at full precision and returns the
+    /// driver's step trace with it — the paper's Table 1 view of which
+    /// summaries a query computed and which it reused. Table 1 is
+    /// DYNSUM's view: the trace is empty for the other engine kinds.
+    ///
+    /// Tracing changes nothing: the query runs on a fresh handle whose
+    /// shard is then [`absorb`](Self::absorb)ed, so the result, the merged
+    /// summaries and the cache counters are those of the untraced
+    /// [`points_to`](DemandPointsTo::points_to).
+    pub fn explain(&mut self, v: VarId) -> (QueryResult, Trace) {
+        let mut trace = Trace::new();
+        let mut handle = self.handle();
+        let result = handle.run_query(
+            v,
+            &never_satisfied,
+            &QueryControl::default(),
+            Some(&mut trace),
+        );
+        let shard = handle.into_summaries();
+        self.absorb(shard);
+        self.count_outcomes(std::slice::from_ref(&result));
+        (result, trace)
+    }
+}
+
+impl DemandPointsTo for Session<'_> {
+    fn name(&self) -> &'static str {
+        self.kind.name()
+    }
+
+    /// One query as a one-query [`run_batch`](Session::run_batch) on the
+    /// calling thread: a warm-slot checkout, the query, the shard merge
+    /// and the size-cap sweep. Uncapped, every query's
+    /// [`QueryStats`](dynsum_cfl::QueryStats) equal those of the same
+    /// stream run as one batch; under a cap only the answers do, since
+    /// the sweep then runs over the shard and the shared cache in turn.
+    fn query(&mut self, v: VarId, satisfied: ClientCheck<'_>) -> QueryResult {
+        let mut out = self.run_batch(&[SessionQuery::with_check(v, satisfied)], 1);
+        out.pop().expect("one result per query")
+    }
+
+    fn summary_count(&self) -> usize {
+        Session::summary_count(self)
+    }
 }
 
 /// One worker's dynamic claim loop: pull the next unclaimed global
@@ -927,8 +942,9 @@ impl<'p> Session<'p> {
 /// [`FaultPlan`] and per-query fuses key off the *global* index
 /// claimed, and deterministic reuse accounting makes every result a
 /// pure function of `(pag, config, query)` — so any interleaving
-/// produces byte-identical results. The per-query `catch_unwind`
-/// isolation is identical to [`run_chunk`]'s.
+/// produces byte-identical results. Every query evaluation runs under
+/// `catch_unwind`: a panic yields a per-query [`QueryResult::panicked`]
+/// and replaces the handle's scratch (shard included) with fresh state.
 fn run_stealing<'s, 'p>(
     sess: &'s Session<'p>,
     scratch: HandleScratch,
@@ -968,60 +984,16 @@ fn run_stealing<'s, 'p>(
         out.push((
             i,
             run.unwrap_or_else(|_| {
-                // Same discard discipline as `run_chunk`: nothing a
-                // half-unwound query touched can reach the shared cache.
+                // The unwound query may have left the scratch — and, for
+                // DYNSUM, the in-flight shard — half-updated: discard it
+                // wholesale, so nothing it touched can reach the shared
+                // cache. Summaries the discarded shard held are merely
+                // recomputed later at the exact budget price their reuse
+                // would have charged, so results are unaffected.
                 h.scratch = sess.new_scratch();
                 QueryResult::panicked()
             }),
         ));
-    }
-    (out, h.scratch)
-}
-
-/// Runs one contiguous chunk of a batch on (owned) worker scratch,
-/// returning the results together with the scratch so the sequential
-/// fast path of [`Session::run_batch`] can drain its shard and keep it
-/// warm.
-///
-/// `base` is the chunk's first global query index — the key the
-/// [`FaultPlan`] and per-query fuses are resolved against. Every query
-/// evaluation runs under `catch_unwind`: a panic yields a per-query
-/// [`QueryResult::panicked`] and replaces the handle's scratch (shard
-/// included) with fresh state, so nothing a half-unwound query touched
-/// can reach the shared cache.
-fn run_chunk<'s, 'p>(
-    sess: &'s Session<'p>,
-    scratch: HandleScratch,
-    chunk: &[SessionQuery<'_>],
-    base: usize,
-    epoch: u64,
-    control: &BatchControl,
-) -> (Vec<QueryResult>, HandleScratch) {
-    let mut h = QueryHandle {
-        session: sess,
-        scratch,
-        epoch,
-    };
-    let mut out = Vec::with_capacity(chunk.len());
-    for (i, q) in chunk.iter().enumerate() {
-        let qc = control.query_control(base + i);
-        let inject_panic = control.injects_panic(base + i);
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            if inject_panic {
-                panic!("injected query fault");
-            }
-            h.query_with(q.var, q.satisfied, &qc)
-        }));
-        out.push(run.unwrap_or_else(|_| {
-            // The unwound query may have left the scratch — and, for
-            // DYNSUM, the in-flight shard — half-updated: discard it
-            // wholesale. Summaries the *discarded* shard held are merely
-            // recomputed later at the exact budget price their reuse
-            // would have charged (deterministic accounting), so results
-            // are unaffected.
-            h.scratch = sess.new_scratch();
-            QueryResult::panicked()
-        }));
     }
     (out, h.scratch)
 }
@@ -1146,6 +1118,21 @@ impl QueryHandle<'_, '_> {
         satisfied: ClientCheck<'_>,
         control: &QueryControl,
     ) -> QueryResult {
+        self.run_query(v, satisfied, control, None)
+    }
+
+    /// The one query body. `trace`, when given, records the summary
+    /// driver's steps (DYNSUM only; the other engines record nothing).
+    /// Inlined so [`query_with`](Self::query_with) hands the kernel a
+    /// constant `None`.
+    #[inline(always)]
+    fn run_query(
+        &mut self,
+        v: VarId,
+        satisfied: ClientCheck<'_>,
+        control: &QueryControl,
+        trace: Option<&mut Trace>,
+    ) -> QueryResult {
         let pag = self.session.pag;
         let config = &self.session.config;
         match (&mut self.scratch, &self.session.state) {
@@ -1165,7 +1152,7 @@ impl QueryHandle<'_, '_> {
                     v,
                     &[],
                     control,
-                    None,
+                    trace,
                 )
             }
             (HandleScratch::StaSum(parts), SharedState::StaSum(shared)) => {
@@ -1201,12 +1188,6 @@ impl DemandPointsTo for QueryHandle<'_, '_> {
     /// Shared summaries plus this handle's unmerged shard.
     fn summary_count(&self) -> usize {
         self.session.summary_count() + self.shard_len()
-    }
-
-    /// Drops the handle's private state (shard included); the session's
-    /// shared summaries are untouched.
-    fn reset(&mut self) {
-        self.scratch = self.session.new_scratch();
     }
 }
 
@@ -1254,19 +1235,49 @@ mod tests {
         (b.finish(), vec![r1, r2, a1, a2, ret, p], o1, o2)
     }
 
+    /// The reference is a session driven one query at a time through
+    /// [`DemandPointsTo`]. A handle answers on its private shard while
+    /// the session merges after every query; over the same stream both
+    /// see the same summaries, so results and work counters agree
+    /// exactly.
     #[test]
     fn handles_agree_with_legacy_engines_for_every_kind() {
         let (pag, vars, ..) = two_callers();
         for kind in EngineKind::ALL {
             let session = Session::new(&pag, kind);
             let mut handle = session.handle();
-            let mut legacy = kind.build(&pag, EngineConfig::default());
-            assert_eq!(handle.name(), legacy.name());
-            for &v in &vars {
+            let mut one_at_a_time = Session::new(&pag, kind);
+            assert_eq!(handle.name(), one_at_a_time.name());
+            for &v in vars.iter().chain(&vars) {
                 let a = handle.points_to(v);
-                let b = legacy.points_to(v);
-                assert_eq!(a.resolved, b.resolved, "{kind} on {v:?}");
-                assert_eq!(a.pts, b.pts, "{kind} on {v:?}");
+                let b = one_at_a_time.points_to(v);
+                assert_eq!(a, b, "{kind} on {v:?}");
+            }
+            assert_eq!(handle.summary_count(), one_at_a_time.summary_count());
+        }
+    }
+
+    #[test]
+    fn explain_changes_no_result_and_no_count() {
+        let (pag, vars, ..) = two_callers();
+        for kind in EngineKind::ALL {
+            for cap in [None, Some(1)] {
+                let config = EngineConfig {
+                    max_cached_summaries: cap,
+                    ..EngineConfig::default()
+                };
+                let mut traced = Session::with_config(&pag, kind, config);
+                let mut plain = Session::with_config(&pag, kind, config);
+                for &v in vars.iter().chain(&vars) {
+                    let (a, trace) = traced.explain(v);
+                    let b = plain.points_to(v);
+                    assert_eq!(a, b, "{kind} cap {cap:?} on {v:?}");
+                    let traced_kind = kind == EngineKind::DynSum;
+                    assert_eq!(!trace.is_empty(), traced_kind, "{kind} on {v:?}");
+                    assert_eq!(traced.summary_count(), plain.summary_count());
+                    assert_eq!(traced.cache_stats(), plain.cache_stats());
+                    assert_eq!(traced.health(), plain.health());
+                }
             }
         }
     }
@@ -1275,8 +1286,8 @@ mod tests {
     fn run_batch_matches_sequential_at_any_thread_count() {
         let (pag, vars, ..) = two_callers();
         let sequential: Vec<QueryResult> = {
-            let mut engine = DynSum::new(&pag);
-            vars.iter().map(|&v| engine.points_to(v)).collect()
+            let mut session = Session::new(&pag, EngineKind::DynSum);
+            vars.iter().map(|&v| session.points_to(v)).collect()
         };
         for threads in [1, 2, 4, 7] {
             let mut session = Session::new(&pag, EngineKind::DynSum);
@@ -1484,25 +1495,13 @@ mod tests {
         let in_id = |s: &Session<'_>| {
             // No public key iteration: re-deriving `id`'s summaries via
             // eviction count is the observable.
-            let mut probe = Session {
-                pag: s.pag,
-                config: s.config,
-                kind: s.kind,
-                state: match &s.state {
-                    SharedState::DynSum { cache, fields } => SharedState::DynSum {
-                        cache: cache.clone(),
-                        fields: fields.clone(),
-                    },
-                    _ => unreachable!(),
+            let mut probe = Session::with_config(s.pag, s.kind, s.config);
+            probe.state = match &s.state {
+                SharedState::DynSum { cache, fields } => SharedState::DynSum {
+                    cache: cache.clone(),
+                    fields: fields.clone(),
                 },
-                epoch: s.epoch,
-                invalidated_at: s.invalidated_at.clone(),
-                warm: Vec::new(),
-                spawn_failures: 0,
-                stale_rejected: 0,
-                cancellations: 0,
-                deadline_trips: 0,
-                query_panics: 0,
+                _ => unreachable!(),
             };
             probe.invalidate_method(id)
         };

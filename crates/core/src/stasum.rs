@@ -34,45 +34,18 @@ use dynsum_cfl::{
 use dynsum_pag::{AdjClass, CallSiteId, NodeId, NodeRef, ObjId, Pag, VarId};
 
 use crate::driver::{drive, DriveParts};
-use crate::engine::{ClientCheck, DemandPointsTo, EngineConfig};
+use crate::engine::EngineConfig;
 use crate::ppta;
 use crate::summary::Summary;
 
-/// Precomputation options for STASUM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StaSumOptions {
-    /// Maximum `need` depth recorded in a relative summary; configurations
-    /// needing more are dropped and the summary is marked truncated
-    /// (queries arriving with deeper stacks fall back to concrete PPTA).
-    pub max_need_depth: usize,
-    /// Edge-traversal budget per precomputed summary; exhaustion marks
-    /// the summary aborted (always falls back at query time).
-    pub node_budget: u64,
-}
+/// Maximum `need` depth recorded in a relative summary; configurations
+/// needing more are dropped and the summary is marked truncated (queries
+/// arriving with deeper stacks fall back to concrete PPTA).
+const MAX_NEED_DEPTH: usize = 8;
 
-impl Default for StaSumOptions {
-    fn default() -> Self {
-        StaSumOptions {
-            max_need_depth: 8,
-            node_budget: 200_000,
-        }
-    }
-}
-
-/// Precomputation statistics (the Figure 5 quantities).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StaSumStats {
-    /// Number of summaries computed (one per boundary node/direction).
-    pub summaries: usize,
-    /// Total object and boundary entries across all summaries.
-    pub entries: usize,
-    /// Summaries that hit the `need`-depth cap.
-    pub truncated: usize,
-    /// Summaries that exhausted the per-node budget.
-    pub aborted: usize,
-    /// Edges traversed during precomputation.
-    pub precompute_edges: u64,
-}
+/// Edge-traversal budget per precomputed summary; exhaustion marks the
+/// summary aborted (always falls back at query time).
+const NODE_BUDGET: u64 = 200_000;
 
 /// One relative boundary continuation: applies when [`need`](Self::need)
 /// is a top prefix of the arriving stack (strictly shorter than it if
@@ -107,32 +80,26 @@ struct RelSummary {
 }
 
 /// The frozen product of STASUM precomputation: the all-pairs relative
-/// summary store plus its statistics. Immutable after construction, so
-/// one copy serves any number of engines/handles concurrently.
+/// summary store. Immutable after construction, so one copy serves any
+/// number of query handles concurrently.
 #[derive(Debug)]
 pub(crate) struct StaSumShared {
     rel: FxHashMap<(NodeId, Direction), RelSummary>,
-    options: StaSumOptions,
-    stats: StaSumStats,
 }
 
 impl StaSumShared {
-    pub(crate) fn stats(&self) -> StaSumStats {
-        self.stats
+    /// The number of precomputed summaries (one per boundary node and
+    /// direction) — the Figure 5 denominator.
+    pub(crate) fn len(&self) -> usize {
+        self.rel.len()
     }
 }
 
 /// Runs the whole-program precomputation (every boundary node × the
 /// directions its global edges demand).
-pub(crate) fn stasum_precompute(
-    pag: &Pag,
-    config: &EngineConfig,
-    options: StaSumOptions,
-) -> StaSumShared {
+pub(crate) fn stasum_precompute(pag: &Pag, config: &EngineConfig) -> StaSumShared {
     let mut shared = StaSumShared {
         rel: FxHashMap::default(),
-        options,
-        stats: StaSumStats::default(),
     };
     // Interning pool private to the precomputation: the frozen summaries
     // carry inline arrays, so nothing outlives this pool.
@@ -166,17 +133,14 @@ fn precompute_node(
     let mut rp = RelPpta {
         pag,
         fields,
-        options: &shared.options,
         max_have_depth: config.max_field_depth,
-        budget: Budget::new(shared.options.node_budget),
+        budget: Budget::new(NODE_BUDGET),
         visited: FxHashSet::default(),
         out: RawRelSummary::default(),
-        edges: 0,
     };
     let aborted = rp
         .go(n, FieldStackId::EMPTY, FieldStackId::EMPTY, dir, false)
         .is_err();
-    let edges = rp.edges;
     let raw = rp.out;
     // Freeze: resolve the pool-relative stack ids into inline arrays.
     let summary = RelSummary {
@@ -199,21 +163,11 @@ fn precompute_node(
         truncated: raw.truncated,
         aborted,
     };
-    shared.stats.summaries += 1;
-    shared.stats.entries += summary.objs.len() + summary.boundaries.len();
-    shared.stats.precompute_edges += edges;
-    if summary.truncated {
-        shared.stats.truncated += 1;
-    }
-    if summary.aborted {
-        shared.stats.aborted += 1;
-    }
     shared.rel.insert((n, dir), summary);
 }
 
-/// Runs one STASUM query over borrowed per-handle state. Shared by the
-/// legacy [`StaSum`] engine and [`Session`](crate::Session) query
-/// handles; `shared` is the frozen precomputation product.
+/// Runs one STASUM query over borrowed per-handle state; `shared` is the
+/// frozen precomputation product.
 pub(crate) fn stasum_query(
     pag: &Pag,
     config: &EngineConfig,
@@ -239,7 +193,7 @@ pub(crate) fn stasum_query(
                         s: Direction|
      -> Result<(Arc<Summary>, StepKind), Interrupt> {
         if let Some(rs) = shared.rel.get(&(u, s)) {
-            if let Some(sum) = instantiate(fields, &shared.options, rs, f) {
+            if let Some(sum) = instantiate(fields, rs, f) {
                 stats.cache_hits += 1;
                 return Ok((Arc::new(sum), StepKind::PptaReused));
             }
@@ -266,68 +220,6 @@ pub(crate) fn stasum_query(
     )
 }
 
-/// The STASUM engine.
-///
-/// # Examples
-///
-/// ```
-/// use dynsum_core::{DemandPointsTo, StaSum};
-/// use dynsum_pag::PagBuilder;
-///
-/// let mut b = PagBuilder::new();
-/// let m = b.add_method("main", None)?;
-/// let v = b.add_local("v", m, None)?;
-/// let o = b.add_obj("o1", None, Some(m))?;
-/// b.add_new(o, v)?;
-/// let pag = b.finish();
-/// let mut engine = StaSum::precompute(&pag);
-/// assert!(engine.points_to(v).pts.contains_obj(o));
-/// # Ok::<(), dynsum_pag::BuildError>(())
-/// ```
-#[derive(Debug)]
-pub struct StaSum<'p> {
-    pag: &'p Pag,
-    config: EngineConfig,
-    shared: StaSumShared,
-    parts: DriveParts,
-    control: QueryControl,
-}
-
-impl<'p> StaSum<'p> {
-    /// Precomputes all boundary summaries with default configuration.
-    pub fn precompute(pag: &'p Pag) -> Self {
-        Self::precompute_with(pag, EngineConfig::default(), StaSumOptions::default())
-    }
-
-    /// Precomputes with explicit configuration and options.
-    pub fn precompute_with(pag: &'p Pag, config: EngineConfig, options: StaSumOptions) -> Self {
-        StaSum {
-            pag,
-            config,
-            shared: stasum_precompute(pag, &config, options),
-            parts: DriveParts::default(),
-            control: QueryControl::default(),
-        }
-    }
-
-    /// Attaches a [`QueryControl`] (cancel token / deadline) observed by
-    /// every subsequent query until replaced. Precomputation is not
-    /// affected — it has already happened by construction time.
-    pub fn set_control(&mut self, control: QueryControl) {
-        self.control = control;
-    }
-
-    /// Precomputation statistics.
-    pub fn precompute_stats(&self) -> StaSumStats {
-        self.shared.stats
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-}
-
 /// Instantiates a relative summary against a concrete arriving stack.
 /// Returns `None` when the summary cannot be trusted for this stack.
 ///
@@ -336,7 +228,6 @@ impl<'p> StaSum<'p> {
 /// independent of each other and need no deterministic reuse charging.
 fn instantiate(
     fields: &mut StackPool<FieldFrame>,
-    options: &StaSumOptions,
     rel: &RelSummary,
     f: FieldStackId,
 ) -> Option<Summary> {
@@ -345,7 +236,7 @@ fn instantiate(
     }
     // A truncated summary dropped configurations whose `need` exceeded the
     // cap; those could only match stacks deeper than the cap.
-    if rel.truncated && fields.depth(f) > options.max_need_depth {
+    if rel.truncated && fields.depth(f) > MAX_NEED_DEPTH {
         return None;
     }
     let depth = fields.depth(f);
@@ -387,36 +278,6 @@ fn instantiate(
     })
 }
 
-impl DemandPointsTo for StaSum<'_> {
-    fn name(&self) -> &'static str {
-        "STASUM"
-    }
-
-    /// STASUM has no refinement; the predicate is ignored.
-    fn query(&mut self, v: VarId, _satisfied: ClientCheck<'_>) -> QueryResult {
-        stasum_query(
-            self.pag,
-            &self.config,
-            &self.shared,
-            &mut self.parts,
-            v,
-            &[],
-            &self.control,
-        )
-    }
-
-    /// The number of *precomputed* summaries — the Figure 5 denominator.
-    fn summary_count(&self) -> usize {
-        self.shared.stats.summaries
-    }
-
-    fn reset(&mut self) {
-        // Static state is kept (recomputing it is the whole cost of
-        // STASUM); only the per-query scratch is refreshed.
-        self.parts = DriveParts::default();
-    }
-}
-
 /// The raw (pool-relative) accumulator RelPpta fills before freezing.
 #[derive(Debug, Default)]
 struct RawRelSummary {
@@ -429,19 +290,15 @@ struct RawRelSummary {
 struct RelPpta<'a, 'p> {
     pag: &'p Pag,
     fields: &'a mut StackPool<FieldFrame>,
-    options: &'a StaSumOptions,
     max_have_depth: usize,
     budget: Budget,
     visited: FxHashSet<(NodeId, FieldStackId, FieldStackId, Direction, bool)>,
     out: RawRelSummary,
-    edges: u64,
 }
 
 impl RelPpta<'_, '_> {
     fn charge(&mut self) -> Result<(), BudgetExceeded> {
-        self.budget.charge()?;
-        self.edges += 1;
-        Ok(())
+        self.budget.charge()
     }
 
     /// Pops field `g`, consuming from `have` first and extending `need`
@@ -464,7 +321,7 @@ impl RelPpta<'_, '_> {
             }
             Some(_) => None,
             None => {
-                if self.fields.depth(need) >= self.options.max_need_depth {
+                if self.fields.depth(need) >= MAX_NEED_DEPTH {
                     self.out.truncated = true;
                     None
                 } else {
@@ -602,7 +459,20 @@ impl RelPpta<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::DemandPointsTo;
+    use crate::session::{EngineKind, Session};
     use dynsum_pag::PagBuilder;
+
+    fn precompute(pag: &Pag) -> StaSumShared {
+        stasum_precompute(pag, &EngineConfig::default())
+    }
+
+    /// One kernel query over `shared` on the given scratch.
+    fn kernel(pag: &Pag, shared: &StaSumShared, parts: &mut DriveParts, v: VarId) -> QueryResult {
+        let config = EngineConfig::default();
+        let control = QueryControl::default();
+        stasum_query(pag, &config, shared, parts, v, &[], &control)
+    }
 
     /// The Vector-ish cross-method shape: callee loads through fields,
     /// and is called from two different contexts.
@@ -656,7 +526,7 @@ mod tests {
     #[test]
     fn answers_match_context_sensitive_expectations() {
         let (pag, r1, r2, ox1, ox2) = vector_pag();
-        let mut e = StaSum::precompute(&pag);
+        let mut e = Session::new(&pag, EngineKind::StaSum);
         let p1 = e.points_to(r1);
         assert!(p1.resolved);
         assert_eq!(p1.pts.objects().into_iter().collect::<Vec<_>>(), vec![ox1]);
@@ -667,17 +537,17 @@ mod tests {
     #[test]
     fn precomputes_summaries_for_boundary_nodes() {
         let (pag, ..) = vector_pag();
-        let e = StaSum::precompute(&pag);
-        let stats = e.precompute_stats();
-        assert!(stats.summaries > 0);
-        assert_eq!(stats.aborted, 0);
-        assert_eq!(e.summary_count(), stats.summaries);
+        let shared = precompute(&pag);
+        assert!(shared.len() > 0);
+        assert!(shared.rel.values().all(|r| !r.aborted));
+        let e = Session::new(&pag, EngineKind::StaSum);
+        assert_eq!(e.summary_count(), shared.len());
     }
 
     #[test]
     fn queries_hit_precomputed_summaries() {
         let (pag, r1, ..) = vector_pag();
-        let mut e = StaSum::precompute(&pag);
+        let mut e = Session::new(&pag, EngineKind::StaSum);
         let p = e.points_to(r1);
         assert!(
             p.stats.cache_hits > 0,
@@ -688,7 +558,7 @@ mod tests {
     #[test]
     fn static_count_independent_of_queries() {
         let (pag, r1, r2, ..) = vector_pag();
-        let mut e = StaSum::precompute(&pag);
+        let mut e = Session::new(&pag, EngineKind::StaSum);
         let before = e.summary_count();
         e.points_to(r1);
         e.points_to(r2);
@@ -702,12 +572,12 @@ mod tests {
     #[test]
     fn relative_pop_extends_need() {
         let (pag, ..) = vector_pag();
-        let e = StaSum::precompute(&pag);
+        let shared = precompute(&pag);
         // this_s has a global out edge... S1 summary exists; the store
         // base `this_s` in S2 (arriving via entry) must have consumed a
         // `need` field: find any boundary with non-empty need or objs
         // qualified by need.
-        let any_need = e.shared.rel.values().any(|r| {
+        let any_need = shared.rel.values().any(|r| {
             r.objs.iter().any(|(_, need)| !need.is_empty())
                 || r.boundaries.iter().any(|b| !b.need.is_empty())
         });
@@ -716,25 +586,27 @@ mod tests {
 
     #[test]
     fn frozen_summaries_are_pool_independent() {
-        // Two fresh engines over the same PAG must freeze identical
+        // Two precomputations over the same PAG must freeze identical
         // inline entries regardless of interning history, and a second
         // query-time pool must instantiate them identically.
         let (pag, r1, ..) = vector_pag();
-        let a = StaSum::precompute(&pag);
-        let b = StaSum::precompute(&pag);
-        for (key, ra) in &a.shared.rel {
-            let rb = &b.shared.rel[key];
+        let a = precompute(&pag);
+        let b = precompute(&pag);
+        for (key, ra) in &a.rel {
+            let rb = &b.rel[key];
             assert_eq!(ra.objs, rb.objs);
             assert_eq!(ra.boundaries, rb.boundaries);
         }
-        let mut e1 = a;
-        let mut e2 = b;
-        // Warm e2's pools with other queries first: raw pool ids now
-        // differ between the two engines; results must not.
+        let (mut p1, mut p2) = (DriveParts::default(), DriveParts::default());
+        // Warm the second scratch's pools with other queries first: raw
+        // pool ids now differ between the two; results must not.
         let warm: Vec<VarId> = pag.vars().map(|(v, _)| v).take(4).collect();
         for v in warm {
-            e2.points_to(v);
+            kernel(&pag, &b, &mut p2, v);
         }
-        assert_eq!(e1.points_to(r1).pts, e2.points_to(r1).pts);
+        assert_eq!(
+            kernel(&pag, &a, &mut p1, r1).pts,
+            kernel(&pag, &b, &mut p2, r1).pts
+        );
     }
 }

@@ -4,8 +4,8 @@
 //! partial answer — without panicking, and the engine must stay usable
 //! for subsequent queries.
 
-use dynsum_cfl::Budget;
-use dynsum_core::{DemandPointsTo, EngineConfig, NoRefine};
+use dynsum_cfl::{Budget, Outcome};
+use dynsum_core::{DemandPointsTo, EngineConfig, EngineKind, Session};
 use dynsum_pag::{Pag, PagBuilder, VarId};
 
 /// Deterministic mixer for the pseudo-random edge wiring (the PAG is
@@ -60,11 +60,12 @@ fn norefine_exhausts_budget_without_panicking() {
     let (pag, query) = deep_random_pag(300, 100, 3, 0xD45);
     assert!(dynsum_pag::validate(&pag).is_empty());
 
-    let mut engine = NoRefine::new(&pag);
+    let mut engine = Session::new(&pag, EngineKind::NoRefine);
     assert_eq!(engine.config().budget, Budget::DEFAULT_LIMIT);
 
     let r = engine.points_to(query);
     assert!(!r.resolved, "90k-edge DAG must exceed the 75k budget");
+    assert_eq!(r.outcome, Outcome::OverBudget);
     // The traversal did real work right up to the cap.
     assert!(
         r.stats.edges_traversed >= 70_000,
@@ -73,20 +74,22 @@ fn norefine_exhausts_budget_without_panicking() {
     );
 
     // Exhaustion is per-query state: the engine answers an easy query
-    // afterwards, and re-asking the hard one stays non-panicking.
+    // afterwards, and re-asking the hard one runs out of budget again
+    // rather than panicking.
     let easy = pag.find_var("l0_0").unwrap();
     let re = engine.points_to(easy);
     assert!(re.resolved);
     assert_eq!(re.pts.objects().len(), 1);
     let again = engine.points_to(query);
-    assert!(!again.resolved);
+    assert_eq!(again.outcome, Outcome::OverBudget);
 }
 
 #[test]
 fn raised_budget_resolves_the_same_query() {
     let (pag, query) = deep_random_pag(300, 100, 3, 0xD45);
-    let mut engine = NoRefine::with_config(
+    let mut engine = Session::with_config(
         &pag,
+        EngineKind::NoRefine,
         EngineConfig {
             budget: 2_000_000,
             ..EngineConfig::default()

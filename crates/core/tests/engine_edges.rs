@@ -1,9 +1,14 @@
 //! Edge-case tests for the engines: queries on globals, deep context
 //! chains, heap contexts, recursion transparency, and cap behavior.
 
-use dynsum_cfl::{CtxId, Outcome};
-use dynsum_core::{DemandPointsTo, DynSum, EngineConfig, EngineKind, NoRefine, RefinePts, StaSum};
+use dynsum_cfl::{Outcome, QueryResult};
+use dynsum_core::{DemandPointsTo, EngineConfig, EngineKind, Session};
 use dynsum_pag::{MethodId, Pag, PagBuilder, VarId};
+
+/// One full-precision query on a fresh `kind` session.
+fn points_to(pag: &Pag, kind: EngineKind, config: EngineConfig, v: VarId) -> QueryResult {
+    Session::with_config(pag, kind, config).points_to(v)
+}
 
 /// A chain of k wrapper methods: main calls w1 calls w2 ... calls wk,
 /// the innermost allocating. Exercises deep balanced contexts.
@@ -35,12 +40,8 @@ fn deep_chain(k: usize) -> (Pag, VarId) {
 #[test]
 fn deep_call_chains_resolve_within_context_cap() {
     let (pag, root) = deep_chain(24);
-    for engine in [true, false] {
-        let r = if engine {
-            DynSum::new(&pag).points_to(root)
-        } else {
-            NoRefine::new(&pag).points_to(root)
-        };
+    for kind in [EngineKind::DynSum, EngineKind::NoRefine] {
+        let r = points_to(&pag, kind, EngineConfig::default(), root);
         assert!(r.resolved, "depth 24 must fit the default context cap");
         assert_eq!(r.pts.objects().len(), 1);
     }
@@ -53,9 +54,10 @@ fn context_cap_aborts_conservatively() {
         max_ctx_depth: 4,
         ..EngineConfig::default()
     };
-    let r = DynSum::with_config(&pag, config).points_to(root);
-    assert!(
-        !r.resolved,
+    let r = points_to(&pag, EngineKind::DynSum, config, root);
+    assert_eq!(
+        r.outcome,
+        Outcome::OverBudget,
         "a 24-deep chain cannot fit a 4-deep context cap"
     );
 }
@@ -81,8 +83,7 @@ fn heap_contexts_distinguish_allocation_paths() {
     b.add_assign(r2, joint).unwrap();
     let pag = b.finish();
 
-    let mut e = DynSum::new(&pag);
-    let r = e.points_to(joint);
+    let r = points_to(&pag, EngineKind::DynSum, EngineConfig::default(), joint);
     assert!(r.resolved);
     // One abstract object, reached under two distinct allocation
     // contexts (the paper's heap abstraction, §3.3).
@@ -114,15 +115,10 @@ fn recursive_sites_still_find_objects() {
     b.add_exit(s, ret, r).unwrap();
     let pag = b.finish();
 
-    for name in ["dynsum", "norefine", "refinepts", "stasum"] {
-        let result = match name {
-            "dynsum" => DynSum::new(&pag).points_to(r),
-            "norefine" => NoRefine::new(&pag).points_to(r),
-            "refinepts" => RefinePts::new(&pag).points_to(r),
-            _ => StaSum::precompute(&pag).points_to(r),
-        };
-        assert!(result.resolved, "{name} must terminate on recursion");
-        assert!(result.pts.contains_obj(o), "{name} must find o");
+    for kind in EngineKind::ALL {
+        let result = points_to(&pag, kind, EngineConfig::default(), r);
+        assert!(result.resolved, "{kind} must terminate on recursion");
+        assert!(result.pts.contains_obj(o), "{kind} must find o");
     }
 }
 
@@ -136,12 +132,8 @@ fn querying_a_global_works() {
     b.add_new(o, v).unwrap();
     b.add_assign(v, g).unwrap();
     let pag = b.finish();
-    for resolved in [
-        DynSum::new(&pag).points_to(g),
-        NoRefine::new(&pag).points_to(g),
-        RefinePts::new(&pag).points_to(g),
-        StaSum::precompute(&pag).points_to(g),
-    ] {
+    for kind in EngineKind::ALL {
+        let resolved = points_to(&pag, kind, EngineConfig::default(), g);
         assert!(resolved.resolved);
         assert!(resolved.pts.contains_obj(o));
     }
@@ -153,36 +145,19 @@ fn unreachable_variable_has_empty_set() {
     let m = b.add_method("m", None).unwrap();
     let v = b.add_local("v", m, None).unwrap();
     let pag = b.finish();
-    let r = DynSum::new(&pag).points_to(v);
+    let r = points_to(&pag, EngineKind::DynSum, EngineConfig::default(), v);
     assert!(r.resolved);
     assert!(r.pts.is_empty());
 }
 
 #[test]
-fn explicit_context_filters_returns() {
-    // Same structure as deep_chain(1) but queried from inside.
-    let (pag, _) = deep_chain(2);
-    let ret2 = pag.find_var("ret2").unwrap();
-    let c1 = pag.find_call_site("c1").unwrap();
-    let mut e = DynSum::new(&pag);
-    // From inside w2 under context [c1], the object is still found
-    // (allocation is local to w2).
-    let r = e.points_to_in(ret2, &[c1]);
-    assert!(r.resolved);
-    assert_eq!(r.pts.objects().len(), 1);
-    // The reported allocation context is the query context.
-    let (_, ctx) = r.pts.iter().next().unwrap();
-    assert_ne!(ctx, CtxId::EMPTY);
-}
-
-#[test]
 fn empty_graph_engines_do_not_panic() {
     let pag = PagBuilder::new().finish();
-    let _ = StaSum::precompute(&pag);
-    // No variables to query; constructing engines must be safe.
-    let _ = DynSum::new(&pag);
-    let _ = NoRefine::new(&pag);
-    let _ = RefinePts::new(&pag);
+    // No variables to query; constructing sessions (STASUM's runs its
+    // precomputation) must be safe.
+    for kind in EngineKind::ALL {
+        let _ = Session::new(&pag, kind);
+    }
 }
 
 /// One formal with 240 callers: `main` calls `id(a_i)` at sites `i`,
@@ -235,7 +210,7 @@ fn wide_formal_over_budget_is_pinned() {
         (EngineKind::StaSum, partial, 3_000),
     ];
     for (kind, fingerprint, edges) in pins {
-        let r = kind.build(&pag, config).points_to(acc);
+        let r = points_to(&pag, kind, config, acc);
         assert_eq!(r.pts.objects().len(), 12, "{}", kind.name());
         assert_eq!(
             (r.outcome, r.pts.fingerprint(), r.stats.edges_traversed),
@@ -246,7 +221,7 @@ fn wide_formal_over_budget_is_pinned() {
     }
     // Unlimited, every engine finds all 40 objects.
     for kind in [EngineKind::NoRefine, EngineKind::DynSum] {
-        let r = kind.build(&pag, EngineConfig::unlimited()).points_to(acc);
+        let r = points_to(&pag, kind, EngineConfig::unlimited(), acc);
         assert!(r.resolved);
         assert_eq!(r.pts.objects().len(), 40, "{}", kind.name());
     }

@@ -13,12 +13,16 @@
 //! 3. every context-sensitive answer ⊆ the Andersen whole-program
 //!    solution (context sensitivity only removes objects);
 //! 4. the context-insensitive demand engine == Andersen exactly
-//!    (`L_FT` reachability ≡ inclusion-based points-to).
+//!    (`L_FT` reachability ≡ inclusion-based points-to);
+//! 5. a session answering one query at a time through `DemandPointsTo`
+//!    does exactly the work of the same stream run as one batch, for
+//!    every engine kind.
 
 use std::collections::BTreeSet;
 
 use dynsum_andersen::Andersen;
-use dynsum_core::{DemandPointsTo, DynSum, EngineConfig, NoRefine, RefinePts, StaSum};
+use dynsum_cfl::{Outcome, QueryResult};
+use dynsum_core::{DemandPointsTo, EngineConfig, EngineKind, Session};
 use dynsum_pag::{ObjId, Pag, PagBuilder, VarId};
 use proptest::prelude::*;
 
@@ -189,8 +193,12 @@ fn test_config() -> EngineConfig {
     }
 }
 
-fn objset(r: &dynsum_cfl::QueryResult) -> BTreeSet<ObjId> {
+fn objset(r: &QueryResult) -> BTreeSet<ObjId> {
     r.pts.objects()
+}
+
+fn session(pag: &Pag, kind: EngineKind, config: EngineConfig) -> Session<'_> {
+    Session::with_config(pag, kind, config)
 }
 
 proptest! {
@@ -203,16 +211,18 @@ proptest! {
 
         let oracle = Andersen::analyze(&pag);
         let config = test_config();
-        let mut dynsum = DynSum::with_config(&pag, config);
-        let mut dynsum_nocache = DynSum::with_config(
+        let mut dynsum = session(&pag, EngineKind::DynSum, config);
+        let mut dynsum_nocache = session(
             &pag,
+            EngineKind::DynSum,
             EngineConfig { cache_summaries: false, ..config },
         );
-        let mut norefine = NoRefine::with_config(&pag, config);
-        let mut refinepts = RefinePts::with_config(&pag, config);
-        let mut stasum = StaSum::precompute_with(&pag, config, Default::default());
-        let mut ci = NoRefine::with_config(
+        let mut norefine = session(&pag, EngineKind::NoRefine, config);
+        let mut refinepts = session(&pag, EngineKind::RefinePts, config);
+        let mut stasum = session(&pag, EngineKind::StaSum, config);
+        let mut ci = session(
             &pag,
+            EngineKind::NoRefine,
             EngineConfig { context_sensitive: false, ..config },
         );
 
@@ -223,6 +233,11 @@ proptest! {
             let rr = refinepts.points_to(v);
             let rs = stasum.points_to(v);
             let rc = ci.points_to(v);
+            // A session isolates an engine panic as an empty, unresolved
+            // answer, which every check below would let through.
+            for r in [&rd, &rdn, &rn, &rr, &rs, &rc] {
+                prop_assert_ne!(r.outcome, Outcome::Panicked, "engine panic on {:?}", v);
+            }
 
             // (1) + (2): full cross-engine agreement when all resolve.
             if rd.resolved && rdn.resolved && rn.resolved && rr.resolved && rs.resolved {
@@ -256,7 +271,7 @@ proptest! {
     fn summary_reuse_only_reduces_work(spec in spec_strategy()) {
         let (pag, queries) = build(&spec);
         let config = test_config();
-        let mut warm = DynSum::with_config(&pag, config);
+        let mut warm = session(&pag, EngineKind::DynSum, config);
         // Warm the cache with one pass.
         for &v in &queries {
             warm.points_to(v);
@@ -264,13 +279,56 @@ proptest! {
         // A second pass must never traverse more edges per query than a
         // cold engine does.
         for &v in &queries {
-            let mut cold = DynSum::with_config(&pag, config);
+            let mut cold = session(&pag, EngineKind::DynSum, config);
             let cold_r = cold.points_to(v);
             let warm_r = warm.points_to(v);
             prop_assert!(
                 warm_r.stats.edges_traversed <= cold_r.stats.edges_traversed,
                 "warm cache must not do more edge work (var {:?})", v
             );
+        }
+    }
+
+    #[test]
+    fn one_query_path_matches_one_batch(
+        spec in spec_strategy(),
+        budget in prop_oneof![Just(40u64), Just(300u64), Just(2_000u64), Just(200_000u64)],
+        cap in 0usize..4,
+    ) {
+        let (pag, mut queries) = build(&spec);
+        queries.extend(queries.clone());
+        let config = EngineConfig { budget, ..test_config() };
+        for kind in EngineKind::ALL {
+            // Uncapped: the same answers and the same work, query by
+            // query, and the same cache at the end.
+            let mut one = session(&pag, kind, config);
+            let singles: Vec<QueryResult> = queries.iter().map(|&v| one.points_to(v)).collect();
+            prop_assert!(singles.iter().all(|r| r.outcome != Outcome::Panicked), "{} panicked", kind);
+            let mut batch = session(&pag, kind, config);
+            let batched = batch.run_batch_vars(&queries, 1);
+            prop_assert_eq!(&singles, &batched, "{} one at a time vs one batch", kind);
+            prop_assert_eq!(one.summary_count(), batch.summary_count(), "{}", kind);
+            prop_assert_eq!(one.cache_stats(), batch.cache_stats(), "{}", kind);
+
+            // Caching never changes an answer.
+            let mut nocache = session(&pag, kind, EngineConfig { cache_summaries: false, ..config });
+            for (&v, r) in queries.iter().zip(&singles) {
+                prop_assert_eq!(r.fingerprint(), nocache.points_to(v).fingerprint(), "{} cache off", kind);
+            }
+
+            // Capped: the sweep runs over the shard and then the shared
+            // cache, so only the answers are comparable.
+            let capped = EngineConfig { max_cached_summaries: Some(cap), ..config };
+            let mut one = session(&pag, kind, capped);
+            let mut batch = session(&pag, kind, capped);
+            let batched = batch.run_batch_vars(&queries, 1);
+            for ((&v, r), b) in queries.iter().zip(&singles).zip(&batched) {
+                let a = one.points_to(v);
+                prop_assert_eq!(a.fingerprint(), r.fingerprint(), "{} cap {}", kind, cap);
+                prop_assert_eq!(b.fingerprint(), r.fingerprint(), "{} cap {}", kind, cap);
+                // STASUM's count is its precomputed store, never capped.
+                prop_assert!(kind == EngineKind::StaSum || one.summary_count() <= cap);
+            }
         }
     }
 }

@@ -8,6 +8,7 @@
 //! receiver type.
 
 use dynsum_andersen::Andersen;
+use dynsum_core::{DemandPointsTo, EngineKind, Session};
 use dynsum_frontend::{compile, compile_with, CallGraphMode};
 use proptest::prelude::*;
 
@@ -195,8 +196,7 @@ proptest! {
 
         // Demand answers ⊆ Andersen on every local.
         let oracle = Andersen::analyze(&compiled.pag);
-        let mut engine = dynsum_core::DynSum::new(&compiled.pag);
-        use dynsum_core::DemandPointsTo;
+        let mut engine = Session::new(&compiled.pag, EngineKind::DynSum);
         for (v, info) in compiled.pag.vars() {
             let r = engine.points_to(v);
             if !r.resolved {

@@ -229,22 +229,18 @@ pub fn parse_pag(input: &str) -> Result<Pag, ParseTextError> {
     let mut saw_header = false;
     for (idx, raw) in input.lines().enumerate() {
         let lineno = idx + 1;
-        // `#` starts a comment only at the beginning of the line or
-        // after whitespace: entity names may contain `#` (the frontend
-        // names locals `Class.method#var`). Whitespace means what splits
-        // tokens below, so no name can start with `#`: `write_pag`
+        // A comment starts at the first token that starts with `#`.
+        // Entity names may contain `#` (the frontend names locals
+        // `Class.method#var`), but no name can start with it: `write_pag`
         // separates tokens with a space, and would write such a name
         // back as a comment.
-        let without_comment = match raw.find('#') {
-            Some(0) => "",
-            Some(i) if raw[..i].ends_with(char::is_whitespace) => &raw[..i],
-            _ => raw,
-        };
-        let line = without_comment.trim();
-        if line.is_empty() {
+        let toks: Vec<&str> = raw
+            .split_whitespace()
+            .take_while(|t| !t.starts_with('#'))
+            .collect();
+        if toks.is_empty() {
             continue;
         }
-        let toks: Vec<&str> = line.split_whitespace().collect();
         if !saw_header {
             if toks.as_slice() != ["pag", "v1"] {
                 return Err(err(lineno, "expected header `pag v1`"));
@@ -519,6 +515,14 @@ exit 7 t v
         }
         let pag = parse_pag("pag v1\nfield a#b\n").unwrap();
         assert_eq!(pag.find_field("a#b").map(|f| f.as_raw()), Some(0));
+        // A trailing comment after a name that contains `#`.
+        let pag = parse_pag(
+            "pag v1\nfield a#b # note\nmethod Main.main\n\
+             local Main.main#got method Main.main # note\n",
+        )
+        .unwrap();
+        assert_eq!(pag.find_field("a#b").map(|f| f.as_raw()), Some(0));
+        assert!(pag.find_var("Main.main#got").is_some());
     }
 
     #[test]

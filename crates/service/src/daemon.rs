@@ -18,11 +18,10 @@
 //! client warm every other. Sessions are created lazily at `hello` and
 //! warm-started from the snapshot directory when one is configured,
 //! degrading to a cold start exactly like
-//! [`Session::load_snapshot_from_path`] always has. Shared sessions
-//! require deterministic reuse accounting (results independent of
-//! cache state), so a `hello` that tries to disable it is rejected:
-//! sharing must never let one client's traffic change another's
-//! answers.
+//! [`Session::load_snapshot_from_path`] always has. Sharing is safe
+//! because reuse charges each summary's recorded cold cost: results are
+//! independent of cache state, so one client's traffic never changes
+//! another's answers.
 //!
 //! # Scheduler fairness
 //!
@@ -63,7 +62,6 @@ pub type ClientId = u64;
 pub struct ServiceConfig {
     /// Base engine configuration; `hello` frames may override the
     /// negotiable fields ([`crate::proto::CONFIG_KEYS`]).
-    /// `deterministic_reuse` is forced on — shared sessions require it.
     pub engine_config: EngineConfig,
     /// Directory snapshots are loaded from at session creation and
     /// written to by `save_snapshot`. `None` disables both.
@@ -243,11 +241,7 @@ pub struct Daemon<'p> {
 impl<'p> Daemon<'p> {
     /// Builds a daemon serving `workloads` (the first is the default
     /// for `hello` frames that name none).
-    pub fn new(workloads: Vec<ServedWorkload<'p>>, mut config: ServiceConfig) -> Self {
-        // Shared sessions require cache-independent results; the
-        // protocol additionally rejects any hello trying to turn this
-        // off.
-        config.engine_config.deterministic_reuse = true;
+    pub fn new(workloads: Vec<ServedWorkload<'p>>, config: ServiceConfig) -> Self {
         Daemon {
             workloads,
             config,

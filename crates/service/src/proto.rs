@@ -38,9 +38,8 @@ pub enum ErrorCode {
     /// An operation that needs a negotiated session arrived before
     /// `hello`.
     NeedHello,
-    /// `hello` carried an invalid engine/config negotiation (including
-    /// any attempt to disable deterministic reuse, which the shared
-    /// sessions require).
+    /// `hello` carried an invalid engine/config negotiation, such as an
+    /// unknown config key.
     BadConfig,
     /// `hello` named a workload the daemon does not serve.
     UnknownWorkload,
@@ -200,9 +199,8 @@ impl Request {
     }
 }
 
-/// `EngineConfig` keys `hello` may override. `deterministic_reuse` is
-/// deliberately absent: shared sessions require it, and a frame trying
-/// to turn it off is a [`ErrorCode::BadConfig`] error.
+/// `EngineConfig` keys `hello` may override; any other key is a
+/// [`ErrorCode::BadConfig`] error.
 pub const CONFIG_KEYS: &[&str] = &[
     "budget",
     "max_field_depth",
@@ -322,13 +320,6 @@ fn parse_request_value(value: &Json) -> Result<Request, ProtoError> {
                         ProtoError::new(ErrorCode::BadConfig, "`config` must be an object")
                     })?;
                     for (k, _) in fields {
-                        if k == "deterministic_reuse" {
-                            return Err(ProtoError::new(
-                                ErrorCode::BadConfig,
-                                "deterministic_reuse cannot be negotiated: shared sessions \
-                                 require it",
-                            ));
-                        }
                         if !CONFIG_KEYS.contains(&k.as_str()) {
                             return Err(ProtoError::new(
                                 ErrorCode::BadConfig,
@@ -551,10 +542,6 @@ mod tests {
         assert_eq!((id, e.code), (Some(1), ErrorCode::BadFrame));
         let (_, e) = parse_request(r#"{"op":"query","var":1}"#).unwrap_err();
         assert_eq!(e.code, ErrorCode::BadFrame);
-        let (_, e) =
-            parse_request(r#"{"op":"hello","id":1,"config":{"deterministic_reuse":false}}"#)
-                .unwrap_err();
-        assert_eq!(e.code, ErrorCode::BadConfig);
         let (_, e) = parse_request(r#"{"op":"hello","id":1,"config":{"wat":1}}"#).unwrap_err();
         assert_eq!(e.code, ErrorCode::BadConfig);
         let (_, e) = parse_request(r#"{"op":"query","id":1,"var":1,"bogus":2}"#).unwrap_err();

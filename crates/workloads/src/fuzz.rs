@@ -2,7 +2,8 @@
 //!
 //! wgslsmith-style pipeline: [`generate`](crate::generate) random
 //! workloads across adversarial [`GeneratorOptions`], run every query
-//! through all four engines, and cross-check the answers four ways —
+//! through a [`Session`] of each of the four engine kinds, and
+//! cross-check the answers four ways —
 //! each check is an invariant the paper's evaluation silently relies
 //! on:
 //!
@@ -21,11 +22,10 @@
 //!    deterministic, so a run at budget *b* is a prefix of a run at
 //!    budget *B > b*: resolved-at-*b* implies resolved-at-*B* with the
 //!    identical set; unresolved-at-*b* implies a subset.
-//! 4. **Sequential-vs-session byte-identity** — with
-//!    `deterministic_reuse` on, [`Session::run_batch`] must return
-//!    byte-identical results ([`QueryResult::fingerprint`]) at 1, 2 and
-//!    4 threads, and identical to a sequential engine over the same
-//!    query order.
+//! 4. **Sequential-vs-batch byte-identity** — [`Session::run_batch`]
+//!    must return byte-identical results ([`QueryResult::fingerprint`])
+//!    at 1, 2 and 4 threads, and identical to a session answering the
+//!    same queries one at a time, in order.
 //! 5. **Fault integrity** (the `fault_injection` regime) — a batch run
 //!    under a deterministic [`FaultPlan`] (injected panics, cancel and
 //!    deadline fuses, a forced spawn failure, a snapshot IO error) must
@@ -40,6 +40,11 @@
 //!    single-client session, and replay byte-identically — see
 //!    [`service_fuzz`](crate::service_fuzz).
 //!
+//! Beneath all six, an answer whose outcome is [`Outcome::Panicked`]
+//! outside the injected fault plan is a divergence of its own: a
+//! session isolates an engine panic as an empty, unresolved answer,
+//! which the set comparisons above would accept.
+//!
 //! The pipeline is split into an effectful half ([`observe`]: runs
 //! engines, records everything) and a pure half ([`judge`]: folds
 //! [`Observations`] into [`Divergence`]s). The split is what makes the
@@ -51,7 +56,9 @@ use std::collections::BTreeSet;
 
 use dynsum_andersen::Andersen;
 use dynsum_cfl::{Outcome, QueryResult};
-use dynsum_core::{BatchControl, EngineConfig, EngineKind, FaultPlan, Session, SessionQuery};
+use dynsum_core::{
+    BatchControl, DemandPointsTo, EngineConfig, EngineKind, FaultPlan, Session, SessionQuery,
+};
 use dynsum_pag::{ObjId, VarId};
 
 use crate::generator::{try_generate, GeneratorError, GeneratorOptions, Workload};
@@ -207,6 +214,9 @@ pub struct EngineObservation {
     pub kind: EngineKind,
     /// Did the query finish within budget?
     pub resolved: bool,
+    /// Why the query stopped; [`judge`] reports every
+    /// [`Outcome::Panicked`].
+    pub outcome: Outcome,
     /// Context-collapsed object set (the precision-comparison basis).
     pub objects: BTreeSet<ObjId>,
     /// Full-content stable digest ([`QueryResult::fingerprint`]).
@@ -218,6 +228,7 @@ impl EngineObservation {
         EngineObservation {
             kind,
             resolved: r.resolved,
+            outcome: r.outcome,
             objects: r.pts.objects(),
             fingerprint: r.fingerprint(),
         }
@@ -328,6 +339,8 @@ pub enum DivergenceKind {
     /// error, diverged from the clean single-client reference, invented
     /// a cancellation, or failed to replay byte-identically.
     Service,
+    /// An engine panicked on a query outside the injected fault plan.
+    Panic,
 }
 
 impl DivergenceKind {
@@ -341,6 +354,7 @@ impl DivergenceKind {
             DivergenceKind::Determinism => "determinism",
             DivergenceKind::FaultIntegrity => "fault-integrity",
             DivergenceKind::Service => "service",
+            DivergenceKind::Panic => "panic",
         }
     }
 }
@@ -446,14 +460,15 @@ pub fn observe(w: &Workload, config: &EngineConfig, opts: &ObserveOptions) -> Ob
     let vars = query_vars(w);
     let oracle = Andersen::analyze(&w.pag);
 
-    // Check 1+2 material: each engine runs the whole stream in order on
-    // one instance (cross-query caches warm up exactly as in production).
+    // Check 1+2 material: each engine's session answers the whole
+    // stream in order, one query at a time (cross-query caches warm up
+    // exactly as in production).
     let mut per_engine: Vec<Vec<EngineObservation>> = Vec::new();
     for kind in EngineKind::ALL {
-        let mut engine = kind.build(&w.pag, *config);
+        let mut session = Session::with_config(&w.pag, kind, *config);
         per_engine.push(
             vars.iter()
-                .map(|&(v, _)| EngineObservation::from_result(kind, &engine.points_to(v)))
+                .map(|&(v, _)| EngineObservation::from_result(kind, &session.points_to(v)))
                 .collect(),
         );
     }
@@ -469,7 +484,7 @@ pub fn observe(w: &Workload, config: &EngineConfig, opts: &ObserveOptions) -> Ob
         })
         .collect();
 
-    // Check 3 material: cold engines, fresh per probe, at 1× and 16×
+    // Check 3 material: cold sessions, fresh per probe, at 1× and 16×
     // budget (cold ⇒ no cache coupling between the two runs).
     let mut budget = Vec::new();
     let hi_config = EngineConfig {
@@ -478,10 +493,9 @@ pub fn observe(w: &Workload, config: &EngineConfig, opts: &ObserveOptions) -> Ob
     };
     for &(v, _) in vars.iter().take(opts.budget_probes) {
         for kind in [EngineKind::NoRefine, EngineKind::DynSum] {
-            let lo =
-                EngineObservation::from_result(kind, &kind.build(&w.pag, *config).points_to(v));
-            let hi =
-                EngineObservation::from_result(kind, &kind.build(&w.pag, hi_config).points_to(v));
+            let cold = |config| Session::with_config(&w.pag, kind, config).points_to(v);
+            let lo = EngineObservation::from_result(kind, &cold(*config));
+            let hi = EngineObservation::from_result(kind, &cold(hi_config));
             budget.push(BudgetObservation {
                 var: v,
                 kind,
@@ -660,6 +674,29 @@ fn subset(a: &BTreeSet<ObjId>, b: &BTreeSet<ObjId>) -> bool {
 pub fn judge(obs: &Observations) -> Vec<Divergence> {
     let mut out = Vec::new();
 
+    // Check 0: no engine panics. A session isolates a panicking query
+    // as `Outcome::Panicked`: an empty, unresolved answer that checks
+    // 1-4 accept (and that compares equal when every path panics
+    // alike), so the outcome itself is the divergence.
+    let answers = obs
+        .queries
+        .iter()
+        .flat_map(|q| q.engines.iter().map(move |e| (q.var, e)));
+    let probes = obs
+        .budget
+        .iter()
+        .flat_map(|p| [(p.var, &p.lo), (p.var, &p.hi)]);
+    for (var, e) in answers.chain(probes) {
+        if e.outcome == Outcome::Panicked {
+            out.push(Divergence {
+                kind: DivergenceKind::Panic,
+                engine: Some(e.kind),
+                var: Some(var),
+                detail: format!("{} panicked outside the fault plan", e.kind),
+            });
+        }
+    }
+
     for q in &obs.queries {
         for e in &q.engines {
             // Check 1: soundness. Partial answers included — an engine
@@ -827,7 +864,9 @@ fn judge_faults(obs: &Observations, f: &FaultObservation, out: &mut Vec<Divergen
         .enumerate()
     {
         let var = Some(obs.queries[i].var);
-        if f.plan.panic_queries.contains(&i) {
+        if tag == Outcome::Panicked.tag() && !f.plan.panic_queries.contains(&i) {
+            push(var, format!("query {i} panicked outside the fault plan"));
+        } else if f.plan.panic_queries.contains(&i) {
             // An injected panic must be reported as exactly that — any
             // other outcome means the batch swallowed or misfiled it.
             if tag != Outcome::Panicked.tag() {
@@ -1139,6 +1178,45 @@ mod tests {
     }
 
     #[test]
+    fn judge_flags_an_isolated_engine_panic() {
+        let mut obs = clean_obs();
+        // The blind spot check 0 closes: DYNSUM's session answers query
+        // 0 with an isolated panic, and so does every batch, so the
+        // answers still nest and the fingerprints still agree.
+        let k = EngineKind::ALL
+            .iter()
+            .position(|&k| k == EngineKind::DynSum)
+            .unwrap();
+        let panicked = EngineObservation::from_result(EngineKind::DynSum, &QueryResult::panicked());
+        obs.queries[0].engines[k] = panicked.clone();
+        obs.sequential[0] = panicked.fingerprint;
+        for b in &mut obs.batches {
+            b.fingerprints[0] = panicked.fingerprint;
+        }
+        obs.budget[0].lo = EngineObservation {
+            kind: obs.budget[0].kind,
+            ..panicked
+        };
+        let ds = judge(&obs);
+        assert!(
+            ds.iter().any(|d| d.kind == DivergenceKind::Panic
+                && d.engine == Some(EngineKind::DynSum)
+                && d.var == Some(obs.queries[0].var)),
+            "isolated panic not flagged: {ds:?}"
+        );
+        assert!(
+            ds.iter().any(|d| d.kind == DivergenceKind::Panic
+                && d.engine == Some(obs.budget[0].kind)
+                && d.var == Some(obs.budget[0].var)),
+            "panicked budget probe not flagged: {ds:?}"
+        );
+        assert!(
+            ds.iter().all(|d| d.kind == DivergenceKind::Panic),
+            "only check 0 sees an isolated panic: {ds:?}"
+        );
+    }
+
+    #[test]
     fn case_seed_is_deterministic_and_spread() {
         assert_eq!(case_seed(1, 5), case_seed(1, 5));
         assert_ne!(case_seed(1, 5), case_seed(1, 6));
@@ -1155,13 +1233,6 @@ mod tests {
         assert!(ps.iter().any(|p| !p.config.context_sensitive));
         assert!(ps.iter().any(|p| p.inject_faults));
         assert!(ps.iter().any(|p| p.exercise_service));
-        for p in &ps {
-            assert!(
-                p.config.deterministic_reuse,
-                "{}: determinism check requires deterministic_reuse",
-                p.name
-            );
-        }
     }
 
     /// A clean fault-injection fixture: same workload as [`clean_obs`],
@@ -1233,6 +1304,27 @@ mod tests {
         assert!(
             ds.iter().any(|d| d.kind == DivergenceKind::FaultIntegrity),
             "swallowed panic not flagged: {ds:?}"
+        );
+    }
+
+    #[test]
+    fn judge_flags_a_panic_outside_the_fault_plan() {
+        let mut obs = fault_obs();
+        let f = obs.fault.as_mut().unwrap();
+        let i = (0..f.faulted_tags.len())
+            .find(|i| f.plan.cancel_after.contains_key(i))
+            .expect("fixture needs a cancel-fused query");
+        // A fused query may end early, but never by panicking; the
+        // fingerprint is left clean so only the outcome gives it away.
+        f.faulted_tags[i] = Outcome::Panicked.tag();
+        f.faulted_fingerprints[i] = f.reference[i];
+        let var = obs.queries[i].var;
+        let ds = judge(&obs);
+        assert!(
+            ds.iter().any(|d| d.kind == DivergenceKind::FaultIntegrity
+                && d.var == Some(var)
+                && d.detail.contains("outside the fault plan")),
+            "panic outside the plan not flagged: {ds:?}"
         );
     }
 

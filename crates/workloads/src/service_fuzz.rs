@@ -350,7 +350,7 @@ pub fn observe_service(w: &Workload, config: &EngineConfig, seed: u64) -> Servic
                 .collect();
             wanted.sort_unstable();
             wanted.dedup();
-            let mut session = Session::with_config(&w.pag, engine, forced(config));
+            let mut session = Session::with_config(&w.pag, engine, *config);
             let results = session.run_batch_vars(&wanted, 1);
             wanted
                 .iter()
@@ -368,15 +368,6 @@ pub fn observe_service(w: &Workload, config: &EngineConfig, seed: u64) -> Servic
         cancelled: script.cancelled,
         reference,
         replay_identical,
-    }
-}
-
-/// The daemon forces deterministic reuse on shared sessions; the
-/// reference must run under the identical semantics.
-fn forced(config: &EngineConfig) -> EngineConfig {
-    EngineConfig {
-        deterministic_reuse: true,
-        ..*config
     }
 }
 

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example export_graph`
 
-use dynsum::{compile, DemandPointsTo, DynSum};
+use dynsum::{compile, DemandPointsTo, EngineKind, Session};
 use dynsum_pag::text::{parse_pag, write_pag};
 use dynsum_workloads::MOTIVATING_SOURCE;
 
@@ -30,8 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The re-imported graph answers queries identically.
     let v = compiled.pag.find_var("Main.main#s1").expect("s1 exists");
     let v_back = back.find_var("Main.main#s1").expect("s1 survives export");
-    let mut e1 = DynSum::new(&compiled.pag);
-    let mut e2 = DynSum::new(&back);
+    let mut e1 = Session::new(&compiled.pag, EngineKind::DynSum);
+    let mut e2 = Session::new(&back, EngineKind::DynSum);
     let o1 = e1.points_to(v).pts.objects();
     let o2 = e2.points_to(v_back).pts.objects();
     assert_eq!(o1.len(), o2.len());

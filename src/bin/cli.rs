@@ -16,13 +16,11 @@
 
 use std::fmt::Write as _;
 
-use dynsum::analysis::{may_alias, StaSum};
+use dynsum::analysis::may_alias;
 use dynsum::clients::{run_client, ClientKind};
 use dynsum::pag::text::{parse_pag, write_pag};
 use dynsum::pag::{Pag, ProgramInfo};
-use dynsum::{
-    compile_with, CallGraphMode, DemandPointsTo, DynSum, EngineConfig, NoRefine, RefinePts,
-};
+use dynsum::{compile_with, CallGraphMode, DemandPointsTo, EngineConfig, EngineKind, Session};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -151,22 +149,13 @@ fn load(path: &str, callgraph: CallGraphMode) -> Result<(Pag, ProgramInfo), Stri
     }
 }
 
-fn build_engine<'p>(
-    name: &str,
-    pag: &'p Pag,
-    budget: u64,
-) -> Result<Box<dyn DemandPointsTo + 'p>, String> {
+fn build_session<'p>(name: &str, pag: &'p Pag, budget: u64) -> Result<Session<'p>, String> {
+    let kind: EngineKind = name.parse()?;
     let config = EngineConfig {
         budget,
         ..EngineConfig::default()
     };
-    Ok(match name {
-        "dynsum" => Box::new(DynSum::with_config(pag, config)),
-        "norefine" => Box::new(NoRefine::with_config(pag, config)),
-        "refinepts" => Box::new(RefinePts::with_config(pag, config)),
-        "stasum" => Box::new(StaSum::precompute_with(pag, config, Default::default())),
-        other => return Err(format!("unknown engine `{other}`")),
-    })
+    Ok(Session::with_config(pag, kind, config))
 }
 
 fn cmd_compile(args: &[String]) -> Result<String, String> {
@@ -203,7 +192,7 @@ fn cmd_query(args: &[String]) -> Result<String, String> {
         return Err("query needs --var".to_owned());
     }
     let (pag, _) = load(&file, flags.callgraph)?;
-    let mut engine = build_engine(&flags.engine, &pag, flags.budget)?;
+    let mut engine = build_session(&flags.engine, &pag, flags.budget)?;
     let mut out = String::new();
     for name in &flags.vars {
         let var = pag.find_var(name).ok_or_else(|| {
@@ -240,14 +229,14 @@ fn cmd_alias(args: &[String]) -> Result<String, String> {
         return Err("alias needs exactly two --var names".to_owned());
     }
     let (pag, _) = load(&file, flags.callgraph)?;
-    let mut engine = build_engine(&flags.engine, &pag, flags.budget)?;
+    let mut engine = build_session(&flags.engine, &pag, flags.budget)?;
     let v1 = pag
         .find_var(&flags.vars[0])
         .ok_or_else(|| format!("no variable `{}`", flags.vars[0]))?;
     let v2 = pag
         .find_var(&flags.vars[1])
         .ok_or_else(|| format!("no variable `{}`", flags.vars[1]))?;
-    let a = may_alias(engine.as_mut(), v1, v2);
+    let a = may_alias(&mut engine, v1, v2);
     Ok(format!(
         "alias({}, {}) = {:?} [{} edges]\n",
         flags.vars[0], flags.vars[1], a.result, a.stats.edges_traversed
@@ -263,8 +252,8 @@ fn cmd_clients(args: &[String]) -> Result<String, String> {
     }
     let mut out = String::new();
     for client in ClientKind::ALL {
-        let mut engine = build_engine(&flags.engine, &pag, flags.budget)?;
-        let report = run_client(client, &pag, &info, engine.as_mut());
+        let mut session = build_session(&flags.engine, &pag, flags.budget)?;
+        let report = run_client(client, &info, &mut session);
         if report.queries == 0 {
             continue;
         }
@@ -284,12 +273,9 @@ fn cmd_fmt(args: &[String]) -> Result<String, String> {
 
 fn cmd_motivating() -> String {
     let m = dynsum::workloads::motivating_pag();
-    let mut engine = DynSum::new(&m.pag);
-    engine.set_tracing(true);
-    let r1 = engine.points_to(m.s1);
-    let t1 = engine.take_trace().expect("tracing on");
-    let r2 = engine.points_to(m.s2);
-    let t2 = engine.take_trace().expect("tracing on");
+    let mut session = Session::new(&m.pag, EngineKind::DynSum);
+    let (r1, t1) = session.explain(m.s1);
+    let (r2, t2) = session.explain(m.s2);
     let label = |r: &dynsum::QueryResult| {
         r.pts
             .objects()

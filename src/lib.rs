@@ -15,7 +15,7 @@
 //! | [`cfl`] | `dynsum-cfl` | interned stacks, budgets, traces, query results |
 //! | [`frontend`] | `dynsum-frontend` | Java-subset compiler → PAG |
 //! | [`andersen`] | `dynsum-andersen` | exhaustive inclusion-based oracle |
-//! | [`analysis`] | `dynsum-core` | NOREFINE, REFINEPTS, **DYNSUM**, STASUM |
+//! | [`analysis`] | `dynsum-core` | `Session`s running NOREFINE, REFINEPTS, **DYNSUM** or STASUM |
 //! | [`clients`] | `dynsum-clients` | SafeCast, NullDeref, FactoryM |
 //! | [`service`] | `dynsum-service` | multi-tenant analysis daemon, wire protocol, transports |
 //! | [`workloads`] | `dynsum-workloads` | Table 3 profiles, generator, Figure 2 |
@@ -25,7 +25,7 @@
 //! ## Example: source to points-to set
 //!
 //! ```
-//! use dynsum::{compile, DemandPointsTo, DynSum};
+//! use dynsum::{compile, DemandPointsTo, EngineKind, Session};
 //!
 //! let program = "
 //!     class Box {
@@ -42,11 +42,16 @@
 //!     }
 //! ";
 //! let compiled = compile(program)?;
-//! let mut engine = DynSum::new(&compiled.pag);
+//! let mut session = Session::new(&compiled.pag, EngineKind::DynSum);
 //! let got = compiled.pag.find_var("Main.main#got").expect("var exists");
-//! let result = engine.points_to(got);
+//! let result = session.points_to(got);
 //! assert!(result.resolved);
 //! assert_eq!(result.pts.objects().len(), 1);
+//!
+//! // The same query with its Table 1 trace: every summary is reused.
+//! let (again, trace) = session.explain(got);
+//! assert_eq!(again.pts, result.pts);
+//! assert!(trace.reuse_count() > 0);
 //! # Ok::<(), dynsum::CompileError>(())
 //! ```
 //!
@@ -177,13 +182,12 @@ pub use dynsum_cfl::{
     Budget, CancelToken, Interrupt, Outcome, PointsToSet, QueryControl, QueryResult, Ticket,
 };
 pub use dynsum_clients::{
-    run_batches, run_batches_parallel, run_client, split_batches, BatchReport, ClientKind,
-    ClientReport,
+    run_batches, run_client, split_batches, BatchReport, ClientKind, ClientReport,
 };
 pub use dynsum_core::{
-    pag_fingerprint, BatchControl, CacheStats, DemandPointsTo, DynSum, EngineConfig, EngineKind,
-    FaultPlan, NoRefine, QueryHandle, RefinePts, Session, SessionHealth, SessionQuery,
-    SnapshotLoad, SnapshotReject, StaSum, SummaryShard, SNAPSHOT_VERSION,
+    pag_fingerprint, BatchControl, CacheStats, DemandPointsTo, EngineConfig, EngineKind, FaultPlan,
+    QueryHandle, Session, SessionHealth, SessionQuery, SnapshotLoad, SnapshotReject, SummaryShard,
+    SNAPSHOT_VERSION,
 };
 pub use dynsum_frontend::{compile, compile_with, CallGraphMode, CompileError};
 pub use dynsum_pag::{Pag, PagBuilder};

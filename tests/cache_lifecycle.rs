@@ -4,19 +4,22 @@
 //! hit/miss accounting balances exactly against per-query stats; warm
 //! worker reuse and invalidation fencing behave across batches.
 
-use dynsum::cfl::{CtxId, QueryControl};
+use dynsum::cfl::{CtxId, Outcome, QueryControl};
 use dynsum::pag::ObjId;
 use dynsum::{
-    split_batches, ClientKind, DemandPointsTo, DynSum, EngineConfig, EngineKind, QueryResult,
-    Session, SessionQuery,
+    split_batches, ClientKind, DemandPointsTo, EngineConfig, EngineKind, QueryResult, Session,
+    SessionQuery,
 };
 use dynsum_clients::queries_for;
 use dynsum_workloads::{generate, BenchmarkProfile, GeneratorOptions, PROFILES};
 use proptest::prelude::*;
 
 /// The byte-level identity we claim: resolution flag plus the sorted
-/// `(object, allocation context)` pairs.
+/// `(object, allocation context)` pairs. An isolated engine panic (an
+/// empty, unresolved answer on every path alike) fails instead of
+/// comparing equal.
 fn fingerprint(r: &QueryResult) -> (bool, Vec<(ObjId, CtxId)>) {
+    assert_ne!(r.outcome, Outcome::Panicked, "engine panic");
     (r.resolved, r.pts.iter().collect())
 }
 
@@ -39,7 +42,7 @@ proptest! {
         );
         let queries = queries_for(ClientKind::NullDeref, &w.info);
         let uncapped: Vec<_> = {
-            let mut engine = DynSum::new(&w.pag);
+            let mut engine = Session::new(&w.pag, EngineKind::DynSum);
             queries
                 .iter()
                 .map(|q| fingerprint(&engine.points_to(q.var)))
@@ -129,7 +132,7 @@ fn warm_worker_reuse_stays_deterministic() {
     );
     let queries = queries_for(ClientKind::NullDeref, &w.info);
     let sequential: Vec<_> = {
-        let mut engine = DynSum::new(&w.pag);
+        let mut engine = Session::new(&w.pag, EngineKind::DynSum);
         queries
             .iter()
             .map(|q| fingerprint(&engine.points_to(q.var)))
@@ -146,7 +149,7 @@ fn warm_worker_reuse_stays_deterministic() {
     }
     // The merged cache covers exactly the sequential key set even after
     // three rounds of warm reuse (nothing double-merged, nothing lost).
-    let mut engine = DynSum::new(&w.pag);
+    let mut engine = Session::new(&w.pag, EngineKind::DynSum);
     for q in &queries {
         engine.points_to(q.var);
     }

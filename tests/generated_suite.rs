@@ -2,10 +2,13 @@
 //! agreement at scale, oracle soundness, serialization, and the headline
 //! performance shapes.
 
-use dynsum::{Andersen, DemandPointsTo, DynSum, EngineConfig, NoRefine, RefinePts};
+use dynsum::{Andersen, DemandPointsTo, EngineConfig, EngineKind, Pag, Session};
 use dynsum_clients::{run_batches, run_client, ClientKind};
-use dynsum_core::StaSum;
 use dynsum_workloads::{generate, BenchmarkProfile, GeneratorOptions, PROFILES};
+
+fn dynsum_session(pag: &Pag, config: EngineConfig) -> Session<'_> {
+    Session::with_config(pag, EngineKind::DynSum, config)
+}
 
 fn small(name: &str) -> dynsum_workloads::Workload {
     generate(
@@ -22,7 +25,7 @@ fn small(name: &str) -> dynsum_workloads::Workload {
 fn generated_graphs_are_oracle_sound_on_query_sites() {
     let w = small("bloat");
     let oracle = Andersen::analyze(&w.pag);
-    let mut engine = DynSum::new(&w.pag);
+    let mut engine = dynsum_session(&w.pag, EngineConfig::default());
     for cast in &w.info.casts {
         let r = engine.points_to(cast.var);
         if !r.resolved {
@@ -38,10 +41,10 @@ fn generated_graphs_are_oracle_sound_on_query_sites() {
 fn engines_agree_on_generated_cast_sites() {
     let w = small("avrora");
     let config = EngineConfig::default();
-    let mut dynsum = DynSum::with_config(&w.pag, config);
-    let mut norefine = NoRefine::with_config(&w.pag, config);
-    let mut refinepts = RefinePts::with_config(&w.pag, config);
-    let mut stasum = StaSum::precompute_with(&w.pag, config, Default::default());
+    let mut dynsum = dynsum_session(&w.pag, config);
+    let mut norefine = Session::with_config(&w.pag, EngineKind::NoRefine, config);
+    let mut refinepts = Session::with_config(&w.pag, EngineKind::RefinePts, config);
+    let mut stasum = Session::with_config(&w.pag, EngineKind::StaSum, config);
     for cast in &w.info.casts {
         let rd = dynsum.points_to(cast.var);
         let rn = norefine.points_to(cast.var);
@@ -70,10 +73,10 @@ fn dynsum_beats_refinepts_on_every_benchmark_for_nullderef() {
             },
         );
         let config = EngineConfig::default();
-        let mut dynsum = DynSum::with_config(&w.pag, config);
-        let mut refine = RefinePts::with_config(&w.pag, config);
-        let rd = run_client(ClientKind::NullDeref, &w.pag, &w.info, &mut dynsum);
-        let rr = run_client(ClientKind::NullDeref, &w.pag, &w.info, &mut refine);
+        let mut dynsum = dynsum_session(&w.pag, config);
+        let mut refine = Session::with_config(&w.pag, EngineKind::RefinePts, config);
+        let rd = run_client(ClientKind::NullDeref, &w.info, &mut dynsum);
+        let rr = run_client(ClientKind::NullDeref, &w.info, &mut refine);
         assert!(
             rd.stats.edges_traversed < rr.stats.edges_traversed,
             "{}: DYNSUM {} vs REFINEPTS {}",
@@ -89,9 +92,9 @@ fn warm_cache_halves_second_pass() {
     // Figure 4's mechanism, distilled: replaying the same query stream
     // on a warm engine costs a fraction of the cold pass.
     let w = small("soot-c");
-    let mut engine = DynSum::new(&w.pag);
-    let cold = run_client(ClientKind::SafeCast, &w.pag, &w.info, &mut engine);
-    let warm = run_client(ClientKind::SafeCast, &w.pag, &w.info, &mut engine);
+    let mut engine = dynsum_session(&w.pag, EngineConfig::default());
+    let cold = run_client(ClientKind::SafeCast, &w.info, &mut engine);
+    let warm = run_client(ClientKind::SafeCast, &w.info, &mut engine);
     // Local (PPTA) work is fully cached; the driver still walks the
     // global edges each time, so the floor is the global-edge share.
     assert!(
@@ -111,11 +114,11 @@ fn batch_cumulative_summaries_stay_below_stasum() {
     // Figure 5's claim: after all batches DYNSUM has computed only a
     // fraction of STASUM's static summaries.
     let w = small("jython");
-    let stasum = StaSum::precompute(&w.pag);
-    let mut dynsum = DynSum::new(&w.pag);
+    let stasum = Session::new(&w.pag, EngineKind::StaSum);
+    let mut dynsum = dynsum_session(&w.pag, EngineConfig::default());
     let mut last = 0;
     for client in ClientKind::ALL {
-        let batches = run_batches(client, &w.pag, &w.info, &mut dynsum, 10);
+        let batches = run_batches(client, &w.info, &mut dynsum, 10, 1);
         if let Some(b) = batches.last() {
             last = b.cumulative_summaries;
         }
@@ -141,8 +144,8 @@ fn generated_workloads_round_trip_through_text() {
     if let Some(cast) = w.info.casts.first() {
         let name = &w.pag.var(cast.var).name;
         let v2 = back.find_var(name).unwrap();
-        let mut e1 = DynSum::new(&w.pag);
-        let mut e2 = DynSum::new(&back);
+        let mut e1 = dynsum_session(&w.pag, EngineConfig::default());
+        let mut e2 = dynsum_session(&back, EngineConfig::default());
         assert_eq!(
             e1.points_to(cast.var).pts.objects().len(),
             e2.points_to(v2).pts.objects().len()
@@ -157,10 +160,10 @@ fn budget_controls_resolution_rate() {
         budget: 50,
         ..EngineConfig::default()
     };
-    let mut tight_engine = DynSum::with_config(&w.pag, tight);
-    let tight_report = run_client(ClientKind::NullDeref, &w.pag, &w.info, &mut tight_engine);
-    let mut roomy_engine = DynSum::new(&w.pag);
-    let roomy_report = run_client(ClientKind::NullDeref, &w.pag, &w.info, &mut roomy_engine);
+    let mut tight_engine = dynsum_session(&w.pag, tight);
+    let tight_report = run_client(ClientKind::NullDeref, &w.info, &mut tight_engine);
+    let mut roomy_engine = dynsum_session(&w.pag, EngineConfig::default());
+    let roomy_report = run_client(ClientKind::NullDeref, &w.info, &mut roomy_engine);
     assert!(
         tight_report.unresolved > roomy_report.unresolved,
         "tight {} vs roomy {}",
@@ -174,10 +177,10 @@ fn budget_controls_resolution_rate() {
 fn deterministic_workloads_give_deterministic_analysis_results() {
     let a = small("jack");
     let b = small("jack");
-    let mut ea = DynSum::new(&a.pag);
-    let mut eb = DynSum::new(&b.pag);
-    let ra = run_client(ClientKind::SafeCast, &a.pag, &a.info, &mut ea);
-    let rb = run_client(ClientKind::SafeCast, &b.pag, &b.info, &mut eb);
+    let mut ea = dynsum_session(&a.pag, EngineConfig::default());
+    let mut eb = dynsum_session(&b.pag, EngineConfig::default());
+    let ra = run_client(ClientKind::SafeCast, &a.info, &mut ea);
+    let rb = run_client(ClientKind::SafeCast, &b.info, &mut eb);
     assert_eq!(ra.proven, rb.proven);
     assert_eq!(ra.refuted, rb.refuted);
     assert_eq!(ra.stats.edges_traversed, rb.stats.edges_traversed);

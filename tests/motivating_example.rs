@@ -2,13 +2,17 @@
 //! §4.3's summary reuse, and agreement between the hand-built Figure 2
 //! PAG and the frontend-compiled one.
 
-use dynsum::{compile, DemandPointsTo, DynSum, NoRefine, RefinePts, StaSum};
+use dynsum::{compile, DemandPointsTo, EngineKind, Pag, Session};
 use dynsum_workloads::{motivating_pag, MOTIVATING_SOURCE};
+
+fn dynsum_session(pag: &Pag) -> Session<'_> {
+    Session::new(pag, EngineKind::DynSum)
+}
 
 #[test]
 fn hand_built_pag_gives_paper_answers() {
     let m = motivating_pag();
-    let mut engine = DynSum::new(&m.pag);
+    let mut engine = dynsum_session(&m.pag);
     let r1 = engine.points_to(m.s1);
     assert!(r1.resolved);
     let objs1: Vec<_> = r1
@@ -31,12 +35,9 @@ fn hand_built_pag_gives_paper_answers() {
 #[test]
 fn summary_reuse_makes_s2_cheaper() {
     let m = motivating_pag();
-    let mut engine = DynSum::new(&m.pag);
-    engine.set_tracing(true);
-    let r1 = engine.points_to(m.s1);
-    let t1 = engine.take_trace().unwrap();
-    let r2 = engine.points_to(m.s2);
-    let t2 = engine.take_trace().unwrap();
+    let mut engine = dynsum_session(&m.pag);
+    let (r1, t1) = engine.explain(m.s1);
+    let (r2, t2) = engine.explain(m.s2);
     assert_eq!(t1.reuse_count(), 0, "first query computes everything fresh");
     assert!(
         t2.reuse_count() >= 3,
@@ -73,17 +74,16 @@ fn all_engines_agree_on_the_motivating_queries() {
         assert_eq!(o1, vec!["o26"], "{name} pts(s1)");
         assert_eq!(o2, vec!["o29"], "{name} pts(s2)");
     };
-    expect(&mut DynSum::new(&m.pag), "DYNSUM");
-    expect(&mut NoRefine::new(&m.pag), "NOREFINE");
-    expect(&mut RefinePts::new(&m.pag), "REFINEPTS");
-    expect(&mut StaSum::precompute(&m.pag), "STASUM");
+    for kind in EngineKind::ALL {
+        expect(&mut Session::new(&m.pag, kind), kind.name());
+    }
 }
 
 #[test]
 fn refinement_needs_multiple_iterations_here() {
     // §3.4 walks REFINEPTS through four refinement iterations for s1.
     let m = motivating_pag();
-    let mut engine = RefinePts::new(&m.pag);
+    let mut engine = Session::new(&m.pag, EngineKind::RefinePts);
     let r1 = engine.points_to(m.s1);
     assert!(
         r1.stats.refinement_iterations >= 3,
@@ -97,7 +97,7 @@ fn field_based_first_pass_conflates_s1_and_s2() {
     // The paper's first iteration returns {o26, o29} for s1. A client
     // that accepts anything sees exactly that over-approximation.
     let m = motivating_pag();
-    let mut engine = RefinePts::new(&m.pag);
+    let mut engine = Session::new(&m.pag, EngineKind::RefinePts);
     let r = engine.query(m.s1, &|_| true);
     let objs: Vec<_> = r
         .pts
@@ -116,7 +116,7 @@ fn field_based_first_pass_conflates_s1_and_s2() {
 #[test]
 fn compiled_source_agrees_with_hand_built_graph() {
     let c = compile(MOTIVATING_SOURCE).unwrap();
-    let mut engine = DynSum::new(&c.pag);
+    let mut engine = dynsum_session(&c.pag);
     for (var, expected_count) in [("Main.main#s1", 1), ("Main.main#s2", 1)] {
         let v = c.pag.find_var(var).unwrap();
         let r = engine.points_to(v);
@@ -158,21 +158,21 @@ fn edge_work_is_pinned_on_the_motivating_example() {
     // store) now persist, so the engines traverse a few more edges on
     // the way to the same — now sound — answers (previously 39/27/112).
     let m = motivating_pag();
-    let mut dynsum = DynSum::new(&m.pag);
+    let mut dynsum = dynsum_session(&m.pag);
     assert_eq!(dynsum.points_to(m.s1).stats.edges_traversed, 52);
     assert_eq!(
         dynsum.points_to(m.s2).stats.edges_traversed,
         40,
         "s2 must reuse s1's summaries (fewer edges than s1's 52)"
     );
-    let mut norefine = NoRefine::new(&m.pag);
+    let mut norefine = Session::new(&m.pag, EngineKind::NoRefine);
     assert_eq!(norefine.points_to(m.s1).stats.edges_traversed, 52);
     assert_eq!(
         norefine.points_to(m.s2).stats.edges_traversed,
         52,
         "NOREFINE memorizes nothing, so s2 repeats the full traversal"
     );
-    let mut refinepts = RefinePts::new(&m.pag);
+    let mut refinepts = Session::new(&m.pag, EngineKind::RefinePts);
     assert_eq!(refinepts.points_to(m.s1).stats.edges_traversed, 130);
     assert_eq!(refinepts.points_to(m.s2).stats.edges_traversed, 130);
 }
@@ -181,8 +181,8 @@ fn edge_work_is_pinned_on_the_motivating_example() {
 fn stasum_precomputes_more_than_dynsum_needs() {
     // Figure 5's point, on the smallest possible example.
     let m = motivating_pag();
-    let stasum = StaSum::precompute(&m.pag);
-    let mut dynsum = DynSum::new(&m.pag);
+    let stasum = Session::new(&m.pag, EngineKind::StaSum);
+    let mut dynsum = dynsum_session(&m.pag);
     dynsum.points_to(m.s1);
     dynsum.points_to(m.s2);
     assert!(

@@ -4,11 +4,11 @@
 //! workload graphs, for warm and budget-starved configurations alike —
 //! plus compile-time `Send`/`Sync` assertions for the session types.
 
-use dynsum::cfl::CtxId;
+use dynsum::cfl::{CtxId, Outcome};
 use dynsum::pag::ObjId;
 use dynsum::{
-    ClientKind, DemandPointsTo, DynSum, EngineConfig, EngineKind, QueryHandle, QueryResult,
-    Session, SessionQuery, StaSum, SummaryShard,
+    ClientKind, DemandPointsTo, EngineConfig, EngineKind, QueryHandle, QueryResult, Session,
+    SessionQuery, SummaryShard,
 };
 use dynsum_clients::{queries_for, verdict};
 use dynsum_workloads::{generate, GeneratorOptions, Workload, PROFILES};
@@ -31,17 +31,20 @@ fn session_types_cross_threads() {
 
 /// The byte-level identity we claim: resolution flag plus the sorted
 /// `(object, allocation context)` pairs. Context ids are comparable
-/// because context pools are per-query scratch.
+/// because context pools are per-query scratch. An isolated engine
+/// panic (an empty, unresolved answer on every path alike) fails
+/// instead of comparing equal.
 fn fingerprint(r: &QueryResult) -> (bool, Vec<(ObjId, CtxId)>) {
+    assert_ne!(r.outcome, Outcome::Panicked, "engine panic");
     (r.resolved, r.pts.iter().collect())
 }
 
-/// Runs the NullDeref stream sequentially on a legacy engine, then on
-/// `Session::run_batch` at 1/2/4 threads, asserting identical
-/// fingerprints and verdicts throughout.
+/// Runs the NullDeref stream sequentially — a session answering one
+/// query at a time — then on `Session::run_batch` at 1/2/4 threads,
+/// asserting identical fingerprints and verdicts throughout.
 fn check_workload(w: &Workload, config: EngineConfig) -> usize {
     let queries = queries_for(ClientKind::NullDeref, &w.info);
-    let mut engine = DynSum::with_config(&w.pag, config);
+    let mut engine = Session::with_config(&w.pag, EngineKind::DynSum, config);
     let sequential: Vec<_> = queries
         .iter()
         .map(|q| {
@@ -120,7 +123,8 @@ fn tight_budgets_stay_deterministic_across_thread_counts() {
 }
 
 /// The memorization-free and static engines parallelize trivially; spot
-/// check STASUM (shared frozen store) against its legacy engine.
+/// check STASUM (shared frozen store) batches against the sequential
+/// reference, a cold STASUM session answering one query at a time.
 #[test]
 fn stasum_sessions_match_legacy_engine() {
     let w = generate(
@@ -132,14 +136,14 @@ fn stasum_sessions_match_legacy_engine() {
         },
     );
     let queries = queries_for(ClientKind::SafeCast, &w.info);
-    let mut legacy = StaSum::precompute(&w.pag);
+    let mut reference = Session::new(&w.pag, EngineKind::StaSum);
     let sequential: Vec<_> = queries
         .iter()
-        .map(|q| fingerprint(&legacy.points_to(q.var)))
+        .map(|q| fingerprint(&reference.points_to(q.var)))
         .collect();
     let batch: Vec<SessionQuery<'_>> = queries.iter().map(|q| SessionQuery::new(q.var)).collect();
     let mut session = Session::new(&w.pag, EngineKind::StaSum);
-    assert_eq!(session.summary_count(), legacy.summary_count());
+    assert_eq!(session.summary_count(), reference.summary_count());
     for threads in [1usize, 3] {
         let results = session.run_batch(&batch, threads);
         for (want, r) in sequential.iter().zip(&results) {
