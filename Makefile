@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test doc serve fuzz fuzz-faults fuzz-service bench bench-test bench-counts bench-check bench-report bench-parallel bench-cache bench-service fmt lint lint-sync model-check loc clean
+.PHONY: verify build test doc serve fuzz fuzz-faults fuzz-service bench bench-test bench-counts fmt lint lint-sync model-check loc clean
 
 verify:
 	$(CARGO) build --release && $(CARGO) test -q
@@ -76,33 +76,6 @@ bench-test:
 # the one recorded in tools/bench_counts.txt (see the script's header).
 bench-counts:
 	CARGO=$(CARGO) ./tools/check_bench_counts.sh
-
-bench-check:
-	$(CARGO) bench --no-run
-
-# Records the perf trajectory point: medium profile -> BENCH_report.json
-# (includes the Session::run_batch scaling series at 1/2/4 threads).
-bench-report:
-	$(CARGO) run --release -p dynsum-bench --bin perf_report -- --profile medium
-
-# The thread-scaling series alone, pushed to 8 workers ->
-# BENCH_report_parallel.json (BENCH_report.json stays the recorded point).
-bench-parallel:
-	$(CARGO) run --release -p dynsum-bench --bin perf_report -- --profile medium --threads 8 --out BENCH_report_parallel.json
-
-# The cache_pressure sweep on the small profile -> BENCH_report_cache.json.
-# Exits non-zero if any swept cap point diverges from the sequential path
-# (the same results_identical_vs_sequential gate CI enforces).
-bench-cache:
-	$(CARGO) run --release -p dynsum-bench --bin perf_report -- --profile small --threads 1 --out BENCH_report_cache.json
-
-# The daemon under real concurrent clients: N OS threads over socketpair
-# connections through one serve_pair event loop, closed-loop single
-# queries -> BENCH_report_service.json (sustained q/s, p50/p99 round-trip
-# latency). Exits non-zero if any wire answer diverges from a clean
-# single-client session.
-bench-service:
-	$(CARGO) run --release -p dynsum-bench --bin bench_service -- --clients 4 --requests 100
 
 fmt:
 	$(CARGO) fmt --all

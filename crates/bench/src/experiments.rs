@@ -4,10 +4,10 @@ use std::time::Instant;
 
 use dynsum_cfl::Trace;
 use dynsum_clients::{run_batches, run_client, ClientKind};
-use dynsum_core::{EngineConfig, Session};
+use dynsum_core::{EngineConfig, EngineKind, Session};
 use dynsum_workloads::{motivating_pag, Motivating, SCALABILITY_BENCHMARKS};
 
-use crate::options::{EngineKind, ExperimentOptions};
+use crate::options::ExperimentOptions;
 use crate::table::Table;
 
 // ---------------------------------------------------------------- Table 1

@@ -1,13 +1,7 @@
-//! Experiment options and engine selection.
+//! Experiment options.
 
 use dynsum_core::EngineConfig;
-use dynsum_workloads::{generate, GeneratorOptions, Workload, PROFILES};
-
-/// The engines of Table 2, constructible by name. Lives in
-/// `dynsum-core` since the `Session` API redesign (sessions and the
-/// harness pick engines by the same kind); re-exported here for the
-/// experiment code and its historical users.
-pub use dynsum_core::EngineKind;
+use dynsum_workloads::{generate, BenchmarkProfile, GeneratorOptions, Workload, PROFILES};
 
 /// Options shared by all experiments.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,8 +29,9 @@ impl Default for ExperimentOptions {
 
 impl ExperimentOptions {
     /// Parses command-line style arguments (`--scale 0.05 --seed 1
-    /// --budget 75000 --bench soot-c,bloat`). Unknown flags are
-    /// rejected.
+    /// --budget 75000 --bench soot-c,bloat`). Unknown flags, unknown
+    /// benchmark names and scales the generator would reject are
+    /// errors.
     ///
     /// # Errors
     ///
@@ -65,10 +60,20 @@ impl ExperimentOptions {
                         .map(|s| s.trim().to_owned())
                         .filter(|s| !s.is_empty())
                         .collect();
+                    if let Some(bad) = opts
+                        .benchmarks
+                        .iter()
+                        .find(|b| BenchmarkProfile::find(b).is_none())
+                    {
+                        return Err(format!("unknown benchmark `{bad}`"));
+                    }
                 }
                 other => return Err(format!("unknown flag `{other}`")),
             }
         }
+        opts.generator_options()
+            .validate()
+            .map_err(|e| format!("bad --scale: {e}"))?;
         Ok(opts)
     }
 
@@ -80,13 +85,17 @@ impl ExperimentOptions {
         }
     }
 
-    /// Generates the selected workloads.
-    pub fn workloads(&self) -> Vec<Workload> {
-        let gen_opts = GeneratorOptions {
+    fn generator_options(&self) -> GeneratorOptions {
+        GeneratorOptions {
             scale: self.scale,
             seed: self.seed,
             ..GeneratorOptions::default()
-        };
+        }
+    }
+
+    /// Generates the selected workloads.
+    pub fn workloads(&self) -> Vec<Workload> {
+        let gen_opts = self.generator_options();
         PROFILES
             .iter()
             .filter(|p| self.benchmarks.is_empty() || self.benchmarks.iter().any(|b| b == p.name))
@@ -98,7 +107,7 @@ impl ExperimentOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynsum_core::{DemandPointsTo, Session};
+    use dynsum_core::{DemandPointsTo, EngineKind, Session};
 
     fn args(s: &str) -> impl Iterator<Item = String> + '_ {
         s.split_whitespace().map(str::to_owned)
@@ -121,6 +130,22 @@ mod tests {
         assert!(ExperimentOptions::parse(args("--nope 1")).is_err());
         assert!(ExperimentOptions::parse(args("--scale")).is_err());
         assert!(ExperimentOptions::parse(args("--scale abc")).is_err());
+    }
+
+    #[test]
+    fn rejects_unknown_benchmarks() {
+        for list in ["nosuch", "soot-c,nosuch"] {
+            let err = ExperimentOptions::parse(args(&format!("--bench {list}"))).unwrap_err();
+            assert!(err.contains("`nosuch`"), "{err}");
+        }
+    }
+
+    #[test]
+    fn rejects_scales_the_generator_rejects() {
+        for scale in ["-1", "nan", "inf", "1e9"] {
+            let err = ExperimentOptions::parse(args(&format!("--scale {scale}"))).unwrap_err();
+            assert!(err.starts_with("bad --scale"), "{scale}: {err}");
+        }
     }
 
     #[test]

@@ -59,7 +59,8 @@ pub struct GeneratorOptions {
     /// Validated range: finite, `0.0..=`[`MAX_SCALE`]. `0.0` is legal
     /// and yields the per-kind minimum quotas (every client still gets a
     /// non-empty site list); anything outside the range is a typed
-    /// [`GeneratorError`] from [`try_generate`].
+    /// [`GeneratorError`] from [`try_generate`] and
+    /// [`validate`](Self::validate).
     pub scale: f64,
     /// RNG seed; same seed + profile ⇒ identical workload.
     pub seed: u64,
@@ -161,31 +162,40 @@ impl std::fmt::Display for GeneratorError {
 
 impl std::error::Error for GeneratorError {}
 
-fn validate(opts: &GeneratorOptions) -> Result<(), GeneratorError> {
-    if !opts.scale.is_finite() {
-        return Err(GeneratorError::ScaleNotFinite { scale: opts.scale });
-    }
-    if !(0.0..=MAX_SCALE).contains(&opts.scale) {
-        return Err(GeneratorError::ScaleOutOfRange {
-            scale: opts.scale,
-            max: MAX_SCALE,
-        });
-    }
-    for (knob, value) in [
-        ("recursion_bias", opts.recursion_bias),
-        ("null_bias", opts.null_bias),
-    ] {
-        if !value.is_finite() || !(0.0..=1.0).contains(&value) {
-            return Err(GeneratorError::BiasOutOfRange { knob, value });
+impl GeneratorOptions {
+    /// Checks the options [`try_generate`] checks, without generating:
+    /// callers that take them from a command line reject bad values up
+    /// front with the generator's own bounds.
+    ///
+    /// # Errors
+    ///
+    /// The [`GeneratorError`] [`try_generate`] would return.
+    pub fn validate(&self) -> Result<(), GeneratorError> {
+        if !self.scale.is_finite() {
+            return Err(GeneratorError::ScaleNotFinite { scale: self.scale });
         }
+        if !(0.0..=MAX_SCALE).contains(&self.scale) {
+            return Err(GeneratorError::ScaleOutOfRange {
+                scale: self.scale,
+                max: MAX_SCALE,
+            });
+        }
+        for (knob, value) in [
+            ("recursion_bias", self.recursion_bias),
+            ("null_bias", self.null_bias),
+        ] {
+            if !value.is_finite() || !(0.0..=1.0).contains(&value) {
+                return Err(GeneratorError::BiasOutOfRange { knob, value });
+            }
+        }
+        if self.field_chain > MAX_FIELD_CHAIN {
+            return Err(GeneratorError::FieldChainTooDeep {
+                depth: self.field_chain,
+                max: MAX_FIELD_CHAIN,
+            });
+        }
+        Ok(())
     }
-    if opts.field_chain > MAX_FIELD_CHAIN {
-        return Err(GeneratorError::FieldChainTooDeep {
-            depth: opts.field_chain,
-            max: MAX_FIELD_CHAIN,
-        });
-    }
-    Ok(())
 }
 
 /// Generates a workload for a Table 3 profile, validating the options
@@ -202,7 +212,7 @@ pub fn try_generate(
     profile: &BenchmarkProfile,
     opts: &GeneratorOptions,
 ) -> Result<Workload, GeneratorError> {
-    validate(opts)?;
+    opts.validate()?;
     Ok(Gen::new(profile, opts).run())
 }
 

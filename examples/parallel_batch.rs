@@ -1,7 +1,8 @@
 //! Serve a NullDeref query stream from a shared `Session` at 1, 2 and 4
 //! worker threads, verifying that every thread count produces the same
-//! verdicts (and the same summary cache) before comparing throughput —
-//! a miniature of the `session_scaling` series in `BENCH_report.json`.
+//! verdicts (and the same summary cache) before comparing throughput.
+//! The repository benchmark (`make bench`) runs one thread; this is a
+//! single-shot look at more threads, not a measurement.
 //!
 //! Run with: `cargo run --release --example parallel_batch`
 

@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use dynsum::pag::text::parse_pag;
 use dynsum::pag::Pag;
 use dynsum::service::{serve_stdio, Daemon, ServedWorkload, ServiceConfig};
-use dynsum::workloads::{generate, motivating_pag, GeneratorOptions, PROFILES};
+use dynsum::workloads::{motivating_pag, try_generate, BenchmarkProfile, GeneratorOptions};
 use dynsum::{compile_with, CallGraphMode};
 
 fn main() {
@@ -146,16 +146,14 @@ fn load_workloads(flags: &Flags) -> Result<Vec<(String, Pag)>, String> {
         out.push((name, pag));
     }
     for name in &flags.profiles {
-        let profile = PROFILES
-            .iter()
-            .find(|p| p.name == name)
-            .ok_or_else(|| format!("unknown profile `{name}`"))?;
+        let profile =
+            BenchmarkProfile::find(name).ok_or_else(|| format!("unknown profile `{name}`"))?;
         let opts = GeneratorOptions {
             scale: flags.scale,
             seed: flags.seed,
             ..GeneratorOptions::default()
         };
-        let workload = generate(profile, &opts);
+        let workload = try_generate(profile, &opts).map_err(|e| format!("bad --scale: {e}"))?;
         out.push((workload.name, workload.pag));
     }
     if out.is_empty() {
@@ -241,6 +239,16 @@ mod tests {
         assert!(parse_flags(&bad).is_err());
         let flags = parse_flags(&["--profile".to_owned(), "nope".to_owned()]).expect("parses");
         assert!(load_workloads(&flags).unwrap_err().contains("nope"));
+    }
+
+    #[test]
+    fn bad_scales_are_errors_not_panics() {
+        for scale in ["-1", "nan", "1e9"] {
+            let args = ["--profile", "jack", "--scale", scale].map(str::to_owned);
+            let flags = parse_flags(&args).expect("parses");
+            let err = load_workloads(&flags).unwrap_err();
+            assert!(err.contains("scale"), "{scale}: {err}");
+        }
     }
 
     #[test]

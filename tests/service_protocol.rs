@@ -440,6 +440,105 @@ fn serve_pair_transport_survives_malformed_lines_and_shuts_down() {
     });
 }
 
+/// Two clients, each on its own socketpair, share one `serve_pair`
+/// loop over a generated workload. Every answer carries its request's
+/// id and the fingerprint a clean single-client session computes, and
+/// once both clients hang up without `shutdown` the loop returns.
+#[cfg(unix)]
+#[test]
+fn concurrent_socket_clients_share_one_loop() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+
+    use dynsum::clients::{queries_for, ClientKind};
+    use dynsum::workloads::{generate, BenchmarkProfile, GeneratorOptions};
+
+    const QUERIES: usize = 30;
+    let profile = BenchmarkProfile::find("soot-c").expect("profile exists");
+    let w = generate(
+        profile,
+        &GeneratorOptions {
+            scale: 0.01,
+            ..GeneratorOptions::default()
+        },
+    );
+    let mut vars: Vec<_> = queries_for(ClientKind::NullDeref, &w.info)
+        .iter()
+        .map(|q| q.var)
+        .collect();
+    vars.sort_unstable();
+    vars.dedup();
+    let config = ServiceConfig::default();
+    let want: Vec<u64> = Session::with_config(&w.pag, EngineKind::DynSum, config.engine_config)
+        .run_batch_vars(&vars, 1)
+        .iter()
+        .map(|r| r.fingerprint())
+        .collect();
+
+    let mut daemon = Daemon::new(
+        vec![ServedWorkload {
+            name: &w.name,
+            pag: &w.pag,
+        }],
+        config,
+    );
+    let (clients, conns): (Vec<_>, Vec<_>) = (0..2)
+        .map(|_| {
+            let (client_half, server_half) = UnixStream::pair().expect("socketpair");
+            let reader = server_half.try_clone().expect("clone");
+            (client_half, (reader, server_half))
+        })
+        .unzip();
+    dynsum_cfl::sync::thread::scope(|scope| {
+        scope.spawn(|| dynsum::service::serve_pair(&mut daemon, conns));
+        for (slot, stream) in clients.into_iter().enumerate() {
+            let (vars, want, workload) = (&vars, &want, &w.name);
+            scope.spawn(move || {
+                // A frame the loop misroutes or drops fails the test
+                // instead of hanging it.
+                stream
+                    .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+                    .expect("read timeout");
+                let mut writer = stream.try_clone().expect("clone");
+                let mut reader = BufReader::new(stream);
+                let mut recv = || {
+                    let mut line = String::new();
+                    reader.read_line(&mut line).expect("read frame");
+                    parse(line.trim_end()).expect("valid JSON frame")
+                };
+                writeln!(
+                    writer,
+                    r#"{{"op":"hello","id":1,"name":"c{slot}","engine":"dynsum","workload":"{workload}"}}"#
+                )
+                .unwrap();
+                assert!(is_ok(&recv()), "client {slot}: hello");
+                for i in 0..QUERIES {
+                    // The clients start half the stream apart.
+                    let k = (slot * vars.len() / 2 + i) % vars.len();
+                    let id = 2 + i as u64;
+                    writeln!(
+                        writer,
+                        r#"{{"op":"query","id":{id},"var":{}}}"#,
+                        vars[k].as_raw()
+                    )
+                    .unwrap();
+                    let frame = recv();
+                    assert!(is_ok(&frame), "client {slot}: {frame:?}");
+                    assert_eq!(frame.get("id").and_then(Json::as_u64), Some(id));
+                    let got = frame
+                        .get("result")
+                        .and_then(|r| r.get("fingerprint"))
+                        .and_then(Json::as_str)
+                        .and_then(|h| u64::from_str_radix(h, 16).ok());
+                    assert_eq!(got, Some(want[k]), "client {slot}, query {id}");
+                }
+                // Hang up without `shutdown`: dropping both halves is EOF.
+            });
+        }
+        // The scope joins the loop thread, which must return on its own.
+    });
+}
+
 /// Every `hello` on a workload reports that graph's fingerprint: the
 /// first (which creates the session), reconnects that join it, and a
 /// `hello` for another engine that creates a second session.
