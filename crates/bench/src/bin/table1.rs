@@ -1,7 +1,11 @@
 //! Regenerates Table 1: DYNSUM's traversal traces for the motivating
-//! example's queries `s1` and `s2`.
+//! example's queries `s1` and `s2`. Takes no arguments.
 
 fn main() {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("unexpected argument `{arg}`\nusage: table1 (takes no arguments)");
+        std::process::exit(2);
+    }
     let out = dynsum_bench::table1();
     print!("{}", out.render());
     println!();

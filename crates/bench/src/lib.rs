@@ -13,8 +13,10 @@
 //! | `figure5` | Figure 5 — cumulative DYNSUM summaries as % of STASUM |
 //! | `ablation`| extra: cache on/off, context sensitivity, budget sweeps |
 //!
-//! Every binary accepts `--scale <f>` (default 0.02), `--seed <n>`,
-//! `--budget <n>` (default 75000) and `--bench <name,...>`; the same
+//! `table1` and `table2` take no arguments (any argument is a usage
+//! error). Every other binary accepts `--scale <f>` (default 0.02),
+//! `--seed <n>`, `--budget <n>` (default: the paper's, from
+//! `EngineConfig::default`) and `--bench <name,...>`; the same
 //! experiments are exposed as library functions so the integration tests
 //! can run them at tiny scales. These bins reproduce the paper; the
 //! implementation's own performance is measured by the repository

@@ -10,7 +10,8 @@ pub struct ExperimentOptions {
     pub scale: f64,
     /// Generator seed.
     pub seed: u64,
-    /// Per-query traversal budget (the paper uses 75,000).
+    /// Per-query traversal budget (the paper's, from
+    /// [`EngineConfig::default`], unless overridden).
     pub budget: u64,
     /// Restrict to these benchmarks (all nine when empty).
     pub benchmarks: Vec<String>,
@@ -21,7 +22,7 @@ impl Default for ExperimentOptions {
         ExperimentOptions {
             scale: 0.02,
             seed: 0xD45,
-            budget: 75_000,
+            budget: EngineConfig::default().budget,
             benchmarks: Vec::new(),
         }
     }
@@ -107,7 +108,7 @@ impl ExperimentOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynsum_core::{DemandPointsTo, EngineKind, Session};
+    use dynsum_core::{EngineKind, Session};
 
     fn args(s: &str) -> impl Iterator<Item = String> + '_ {
         s.split_whitespace().map(str::to_owned)
@@ -175,7 +176,7 @@ mod tests {
             EngineKind::StaSum,
         ] {
             let mut e = Session::with_config(&w.pag, kind, o.engine_config());
-            assert_eq!(e.name(), kind.name());
+            assert_eq!(e.engine().name(), kind.name());
             if let Some(&q) = w.info.derefs.first().map(|d| &d.base) {
                 let _ = e.points_to(q);
             }

@@ -1,135 +1,17 @@
-//! Traversal budgets and interrupt-aware query tickets.
+//! Interrupt-aware query tickets: per-query traversal budgets.
 //!
 //! Demand-driven CFL-reachability analyses bound the work spent on a
 //! single query: once a pre-set number of PAG edge traversals is
-//! exceeded, the query is answered conservatively (§5.2 fixes the limit
-//! at 75,000 edges for all engines). A [`Budget`] counts edge traversals
-//! and reports exhaustion as a hard error that unwinds the query.
+//! exceeded, the query is answered conservatively (§5.2 fixes one limit
+//! for all engines). A [`Ticket`] counts edge traversals and reports
+//! exhaustion as a hard error that unwinds the query.
 //!
-//! A [`Ticket`] extends the budget into the general interruption
-//! mechanism: the same per-edge charge that trips on exhaustion also
-//! observes a shared [`CancelToken`], an optional wall-clock deadline,
-//! and an optional deterministic fuse ([`QueryControl::fuse`]), all at
+//! The same per-edge charge that trips on exhaustion also observes a
+//! shared [`CancelToken`], an optional wall-clock deadline, and an
+//! optional deterministic fuse ([`QueryControl::fuse`]), all at
 //! budget-charge granularity. Every trip unwinds through the engines
 //! exactly like budget exhaustion — the proven sound-partial-result
 //! channel — just tagged with a different [`Interrupt`] kind.
-
-/// Error raised when a query exhausts its traversal budget (or one of the
-/// auxiliary depth caps that guard against runaway recursion).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BudgetExceeded;
-
-impl std::fmt::Display for BudgetExceeded {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "traversal budget exceeded")
-    }
-}
-
-impl std::error::Error for BudgetExceeded {}
-
-/// A per-query traversal budget: one unit is one PAG edge traversal,
-/// matching the unit the paper uses (§5.2).
-///
-/// # Examples
-///
-/// ```
-/// use dynsum_cfl::Budget;
-///
-/// let mut b = Budget::new(2);
-/// assert!(b.charge().is_ok());
-/// assert!(b.charge().is_ok());
-/// assert!(b.charge().is_err());
-/// assert_eq!(b.used(), 2);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Budget {
-    limit: u64,
-    used: u64,
-}
-
-impl Budget {
-    /// The paper's default per-query edge-traversal limit (§5.2).
-    pub const DEFAULT_LIMIT: u64 = 75_000;
-
-    /// Creates a budget with the given edge-traversal limit.
-    pub fn new(limit: u64) -> Self {
-        Budget { limit, used: 0 }
-    }
-
-    /// Creates an effectively unlimited budget.
-    pub fn unlimited() -> Self {
-        Budget {
-            limit: u64::MAX,
-            used: 0,
-        }
-    }
-
-    /// Charges one edge traversal.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BudgetExceeded`] once the limit is reached; the current
-    /// query should then be answered conservatively.
-    #[inline]
-    pub fn charge(&mut self) -> Result<(), BudgetExceeded> {
-        if self.used >= self.limit {
-            return Err(BudgetExceeded);
-        }
-        self.used += 1;
-        Ok(())
-    }
-
-    /// Charges `n` edge traversals at once.
-    ///
-    /// This is the deterministic-accounting primitive behind summary
-    /// reuse: when a cached summary is served instead of being recomputed,
-    /// the engine charges the summary's recorded cold-computation cost in
-    /// one lump, so a query's budget outcome is identical whether the
-    /// summary was reused or recomputed — and therefore independent of
-    /// cache state, query order, and thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BudgetExceeded`] when the lump does not fit the remaining
-    /// budget, exactly as `n` individual [`charge`](Self::charge) calls
-    /// would have failed partway through. Like `charge`, the failed lump
-    /// is not deducted.
-    #[inline]
-    pub fn charge_n(&mut self, n: u64) -> Result<(), BudgetExceeded> {
-        // Saturating: `unlimited()` uses u64::MAX as the limit and must
-        // keep accepting charges without overflowing `used`.
-        let after = self.used.saturating_add(n);
-        if after > self.limit {
-            return Err(BudgetExceeded);
-        }
-        self.used = after;
-        Ok(())
-    }
-
-    /// Edge traversals consumed so far.
-    #[inline]
-    pub fn used(&self) -> u64 {
-        self.used
-    }
-
-    /// The configured limit.
-    #[inline]
-    pub fn limit(&self) -> u64 {
-        self.limit
-    }
-
-    /// Remaining traversals before exhaustion.
-    #[inline]
-    pub fn remaining(&self) -> u64 {
-        self.limit - self.used
-    }
-}
-
-impl Default for Budget {
-    fn default() -> Self {
-        Budget::new(Budget::DEFAULT_LIMIT)
-    }
-}
 
 /// Why a query was interrupted before resolving.
 ///
@@ -159,12 +41,6 @@ impl std::fmt::Display for Interrupt {
 }
 
 impl std::error::Error for Interrupt {}
-
-impl From<BudgetExceeded> for Interrupt {
-    fn from(_: BudgetExceeded) -> Self {
-        Interrupt::Budget
-    }
-}
 
 /// A shared cancellation flag: one writer (the client losing interest)
 /// and any number of in-flight queries polling it at budget-charge
@@ -221,8 +97,8 @@ impl CancelToken {
 /// Per-query interruption controls attached to a [`Ticket`].
 ///
 /// The default control has no external signals: a ticket built from it
-/// behaves exactly like a plain [`Budget`] (one compare-and-increment
-/// per charge, no polling).
+/// is a plain budget (one compare-and-increment per charge, no
+/// polling).
 #[derive(Debug, Clone, Default)]
 pub struct QueryControl {
     /// Shared cancellation flag, polled every
@@ -294,15 +170,16 @@ impl QueryControl {
     }
 }
 
-/// An interrupt-aware query ticket: a [`Budget`] fused with the
-/// cancellation, deadline and fault-injection signals of a
+/// An interrupt-aware query ticket: a per-query traversal budget (one
+/// unit is one PAG edge traversal, the paper's unit in §5.2) fused with
+/// the cancellation, deadline and fault-injection signals of a
 /// [`QueryControl`].
 ///
 /// The hot path stays one branch: `charge` compares `used` against a
 /// precomputed `stop` mark — the minimum of the budget limit, the next
 /// poll point and the fuse point — and only falls into the cold path
 /// when the mark is hit. With no control attached the mark *is* the
-/// limit, so a plain ticket costs exactly what a plain [`Budget`] does.
+/// limit, so a plain ticket costs one compare-and-increment per charge.
 ///
 /// Trips are **sticky**: once a ticket has tripped, every further charge
 /// fails with the same [`Interrupt`], so an unwinding engine cannot
@@ -340,8 +217,7 @@ pub struct Ticket {
 
 impl Ticket {
     /// A plain ticket with the given edge-traversal limit and no
-    /// external signals — the drop-in replacement for
-    /// [`Budget::new`].
+    /// external signals.
     pub fn new(limit: u64) -> Self {
         Ticket::with_control(limit, &QueryControl::default())
     }
@@ -413,15 +289,25 @@ impl Ticket {
         Ok(())
     }
 
-    /// Charges `n` edge traversals at once — the deterministic-reuse
-    /// lump (see [`Budget::charge_n`]). The external signals are polled
-    /// once per lump; the fuse trips when the lump would carry `used`
-    /// past the fuse point, exactly as `n` unit charges would have
-    /// tripped it partway through.
+    /// Charges `n` edge traversals at once.
+    ///
+    /// This is the deterministic-accounting primitive behind summary
+    /// reuse: when a cached summary is served instead of being
+    /// recomputed, the engine charges the summary's recorded
+    /// cold-computation cost in one lump, so a query's budget outcome is
+    /// identical whether the summary was reused or recomputed — and
+    /// therefore independent of cache state, query order, and thread
+    /// count. The external signals are polled once per lump; the fuse
+    /// trips when the lump would carry `used` past the fuse point,
+    /// exactly as `n` unit charges would have tripped it partway
+    /// through. Accounting saturates, so an
+    /// [`unlimited`](Self::unlimited) ticket never overflows `used`.
     ///
     /// # Errors
     ///
-    /// As [`charge`](Self::charge); a failed lump is not deducted.
+    /// As [`charge`](Self::charge): a lump that does not fit the
+    /// remaining budget trips the ticket, and the failed lump is not
+    /// deducted.
     pub fn charge_n(&mut self, n: u64) -> Result<(), Interrupt> {
         if let Some(kind) = self.tripped {
             return Err(kind);
@@ -530,32 +416,6 @@ impl Ticket {
     }
 }
 
-/// Runs `f` on a dedicated thread with `stack_bytes` of stack.
-///
-/// The recursive engines (NOREFINE / REFINEPTS, Algorithm 1) can recurse
-/// once per traversed edge, so a 75,000-edge budget implies deep native
-/// stacks. Benchmark binaries and stress tests wrap whole experiment runs
-/// in this helper; unit-scale graphs do not need it.
-///
-/// # Panics
-///
-/// Propagates panics from `f` and panics if the OS refuses to spawn the
-/// thread.
-pub fn with_stack<T: Send>(stack_bytes: usize, f: impl FnOnce() -> T + Send) -> T {
-    crate::sync::thread::scope(|scope| {
-        crate::sync::thread::Builder::new()
-            .stack_size(stack_bytes)
-            .spawn_scoped(scope, f)
-            .expect("failed to spawn analysis thread")
-            .join()
-            .expect("analysis thread panicked")
-    })
-}
-
-/// Default stack size for [`with_stack`] when running paper-scale budgets
-/// (256 MiB comfortably covers 75,000 nested frames).
-pub const ANALYSIS_STACK_BYTES: usize = 256 * 1024 * 1024;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,67 +423,59 @@ mod tests {
 
     #[test]
     fn exhaustion_is_sticky() {
-        let mut b = Budget::new(1);
-        assert!(b.charge().is_ok());
-        assert!(b.charge().is_err());
-        assert!(b.charge().is_err());
-        assert_eq!(b.used(), 1);
-        assert_eq!(b.remaining(), 0);
+        let mut t = Ticket::new(1);
+        assert!(t.charge().is_ok());
+        assert_eq!(t.charge(), Err(Interrupt::Budget));
+        assert_eq!(t.charge(), Err(Interrupt::Budget));
+        assert_eq!(t.charge_n(0), Err(Interrupt::Budget), "sticky lumps");
+        assert_eq!(t.used(), 1);
+        assert_eq!(t.tripped(), Some(Interrupt::Budget));
     }
 
     #[test]
     fn lump_charges_match_unit_charges() {
         // charge_n(n) succeeds exactly when n charge() calls would.
-        let mut lump = Budget::new(5);
-        let mut unit = Budget::new(5);
+        let mut lump = Ticket::new(5);
+        let mut unit = Ticket::new(5);
         assert!(lump.charge_n(3).is_ok());
         for _ in 0..3 {
             unit.charge().unwrap();
         }
         assert_eq!(lump.used(), unit.used());
-        assert!(lump.charge_n(3).is_err());
-        assert_eq!(lump.used(), 3, "a failed lump is not deducted");
-        assert!(lump.charge_n(2).is_ok());
         assert!(lump.charge_n(0).is_ok(), "empty lumps always fit");
-        assert!(lump.charge().is_err());
+        assert_eq!(lump.charge_n(3), Err(Interrupt::Budget));
+        assert_eq!(lump.used(), 3, "a failed lump is not deducted");
+        // Unlike a bare counter, the ticket stays tripped: a smaller lump
+        // that would still fit is refused too.
+        assert_eq!(lump.charge_n(2), Err(Interrupt::Budget));
+        assert_eq!(lump.used(), 3);
     }
 
     #[test]
     fn lump_charges_never_overflow_unlimited() {
-        let mut b = Budget::unlimited();
-        b.charge_n(u64::MAX - 1).unwrap();
-        // Saturating accounting: an unlimited budget keeps accepting.
-        assert!(b.charge_n(u64::MAX).is_ok());
-        assert!(b.charge().is_err(), "saturated exactly at the limit");
-    }
-
-    #[test]
-    fn default_matches_paper() {
-        assert_eq!(Budget::default().limit(), 75_000);
-    }
-
-    #[test]
-    fn unlimited_budget_never_trips() {
-        let mut b = Budget::unlimited();
-        for _ in 0..1_000_000 {
-            b.charge().unwrap();
-        }
-        assert_eq!(b.used(), 1_000_000);
+        let mut t = Ticket::unlimited();
+        t.charge_n(u64::MAX - 1).unwrap();
+        // Saturating accounting: an unlimited ticket keeps accepting.
+        assert!(t.charge_n(u64::MAX).is_ok());
+        assert_eq!(t.used(), u64::MAX);
+        assert_eq!(
+            t.charge(),
+            Err(Interrupt::Budget),
+            "saturated exactly at the limit"
+        );
     }
 
     #[test]
     fn plain_ticket_matches_budget_exactly() {
-        // A ticket without control signals must reproduce Budget's
-        // accounting bit for bit: same trip point, same sticky error,
-        // same lump semantics.
-        let mut b = Budget::new(5);
+        // A ticket without control signals is a plain budget: it trips at
+        // the limit with the sticky budget error, and lumps follow the
+        // same accounting.
         let mut t = Ticket::new(5);
         for _ in 0..5 {
-            assert_eq!(b.charge().is_ok(), t.charge().is_ok());
+            assert!(t.charge().is_ok());
         }
-        assert!(b.charge().is_err());
         assert_eq!(t.charge(), Err(Interrupt::Budget));
-        assert_eq!(t.used(), b.used());
+        assert_eq!(t.used(), 5);
         assert_eq!(t.tripped(), Some(Interrupt::Budget));
 
         let mut t = Ticket::new(5);
@@ -639,6 +491,20 @@ mod tests {
             t.charge().unwrap();
         }
         t.charge_n(u64::MAX).unwrap();
+        assert!(t.tripped().is_none());
+    }
+
+    #[test]
+    fn unlimited_budget_never_trips() {
+        // An unlimited budget polling a token that is never cancelled
+        // crosses a million poll windows without tripping.
+        let token = std::sync::Arc::new(CancelToken::new());
+        let control = QueryControl::new().cancelled_by(token).poll_every(1);
+        let mut t = Ticket::with_control(u64::MAX, &control);
+        for _ in 0..1_000_000 {
+            t.charge().unwrap();
+        }
+        assert_eq!(t.used(), 1_000_000);
         assert!(t.tripped().is_none());
     }
 
@@ -808,21 +674,5 @@ mod tests {
             t.charge().unwrap();
         }
         assert_eq!(t.charge(), Err(Interrupt::Budget));
-    }
-
-    #[test]
-    fn with_stack_runs_and_returns() {
-        let out = with_stack(4 * 1024 * 1024, || {
-            // Deliberately recurse deeper than a tiny stack would allow.
-            fn go(n: u32) -> u32 {
-                if n == 0 {
-                    0
-                } else {
-                    1 + go(n - 1)
-                }
-            }
-            go(10_000)
-        });
-        assert_eq!(out, 10_000);
     }
 }

@@ -11,13 +11,11 @@
 //! * [`Direction`] — the two traversal states `S1`/`S2` of the
 //!   `pointsTo`/`alias` RSM (Figure 3), with the transition tables
 //!   documented;
-//! * [`Budget`] — per-query edge-traversal budgets (75,000 by default,
-//!   §5.2) plus [`with_stack`] for running deep recursive queries;
-//! * [`Ticket`]/[`QueryControl`]/[`CancelToken`]/[`Interrupt`] — the
-//!   interrupt-aware extension of the budget: cooperative cancellation,
-//!   deadlines and deterministic fault-injection fuses, all observed at
-//!   budget-charge granularity and unwinding on the budget's sound
-//!   partial-result channel;
+//! * [`Ticket`]/[`QueryControl`]/[`CancelToken`]/[`Interrupt`] —
+//!   per-query edge-traversal budgets (§5.2) and their interruptions:
+//!   cooperative cancellation, deadlines and deterministic
+//!   fault-injection fuses, all observed at budget-charge granularity
+//!   and unwinding on the budget's sound partial-result channel;
 //! * [`FxHasher`]/[`FxHashMap`]/[`FxHashSet`] — the vendored fast hasher
 //!   behind every hot-path table (worklist dedup, interning, caches) —
 //!   plus [`StableHasher`], the *frozen* FNV-1a variant whose output is
@@ -42,10 +40,7 @@ mod stack;
 pub mod sync;
 mod trace;
 
-pub use budget::{
-    with_stack, Budget, BudgetExceeded, CancelToken, Interrupt, QueryControl, Ticket,
-    ANALYSIS_STACK_BYTES,
-};
+pub use budget::{CancelToken, Interrupt, QueryControl, Ticket};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher, StableHasher};
 pub use query::{CtxId, FieldFrame, FieldStackId, Outcome, PointsToSet, QueryResult, QueryStats};
 pub use rsm::Direction;
@@ -69,7 +64,6 @@ mod thread_safety {
         assert_send_sync::<PointsToSet>();
         assert_send_sync::<QueryResult>();
         assert_send_sync::<QueryStats>();
-        assert_send_sync::<Budget>();
         assert_send_sync::<Ticket>();
         assert_send_sync::<QueryControl>();
         assert_send_sync::<CancelToken>();

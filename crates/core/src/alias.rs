@@ -4,12 +4,12 @@
 //! object `o` (§3.2) — i.e. two variables may alias exactly when their
 //! points-to sets intersect. Alias queries are what the `NullDeref`-style
 //! clients of Zheng–Rugina and Yan et al. consume; this module exposes
-//! them over any demand engine.
+//! them over a [`Session`] of any engine kind.
 
 use dynsum_cfl::QueryStats;
 use dynsum_pag::VarId;
 
-use crate::engine::DemandPointsTo;
+use crate::session::Session;
 
 /// The answer to a may-alias query.
 #[derive(Debug, Copy, Clone, PartialEq, Eq)]
@@ -40,14 +40,15 @@ pub struct AliasQuery {
     pub stats: QueryStats,
 }
 
-/// Answers `may_alias(v1, v2)` on any engine by intersecting the two
-/// points-to sets (the paper's `alias` relation, §3.2).
+/// Answers `may_alias(v1, v2)` on a session of any engine kind by
+/// intersecting the two points-to sets (the paper's `alias` relation,
+/// §3.2).
 ///
 /// With DYNSUM the two queries share the summary cache, so alias queries
 /// over overlapping code regions get cheaper as more of them are asked.
-pub fn may_alias(engine: &mut dyn DemandPointsTo, v1: VarId, v2: VarId) -> AliasQuery {
-    let r1 = engine.points_to(v1);
-    let r2 = engine.points_to(v2);
+pub fn may_alias(session: &mut Session<'_>, v1: VarId, v2: VarId) -> AliasQuery {
+    let r1 = session.points_to(v1);
+    let r2 = session.points_to(v2);
     let mut stats = r1.stats;
     stats.absorb(&r2.stats);
     let result = if !r1.resolved || !r2.resolved {
@@ -68,7 +69,7 @@ pub fn may_alias(engine: &mut dyn DemandPointsTo, v1: VarId, v2: VarId) -> Alias
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use crate::session::{EngineKind, Session};
+    use crate::session::EngineKind;
     use dynsum_pag::{Pag, PagBuilder};
 
     /// p and q share an object; r holds a different one; empty has none.

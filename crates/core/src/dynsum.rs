@@ -19,10 +19,10 @@
 use std::sync::Arc;
 
 use dynsum_cfl::{
-    Direction, FieldFrame, FieldStackId, Interrupt, QueryControl, QueryResult, QueryStats,
+    CtxId, Direction, FieldFrame, FieldStackId, Interrupt, QueryControl, QueryResult, QueryStats,
     StackPool, StepKind, Ticket, Trace,
 };
-use dynsum_pag::{CallSiteId, NodeId, Pag, VarId};
+use dynsum_pag::{NodeId, Pag, VarId};
 
 use crate::driver::{drive, DriveParts};
 use crate::engine::EngineConfig;
@@ -40,9 +40,10 @@ use crate::summary::{Summary, SummaryCache};
 /// clone of the pool) the `base` keys were interned in. `trace`, when
 /// given, records every driver step (the paper's Table 1).
 ///
-/// The context pool is per-query scratch (cleared here), making the
-/// result — including raw context ids in the points-to set — a
-/// deterministic function of `(pag, config, v, ctx)`.
+/// The query starts in the empty context (`pointsTo(v, ∅)`). The context
+/// pool is per-query scratch (cleared here), making the result —
+/// including raw context ids in the points-to set — a deterministic
+/// function of `(pag, config, v)`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dynsum_query(
     pag: &Pag,
@@ -51,7 +52,6 @@ pub(crate) fn dynsum_query(
     cache: &mut SummaryCache,
     parts: &mut DriveParts,
     v: VarId,
-    ctx: &[CallSiteId],
     control: &QueryControl,
     trace: Option<&mut Trace>,
 ) -> QueryResult {
@@ -62,7 +62,6 @@ pub(crate) fn dynsum_query(
         ppta: ppta_scratch,
     } = parts;
     ctxs.clear();
-    let c0 = ctxs.from_slice(ctx);
     let cache_on = config.cache_summaries;
 
     // Algorithm 4, lines 5–9: the summary provider reuses the cache
@@ -107,7 +106,7 @@ pub(crate) fn dynsum_query(
         drive_scratch,
         config,
         pag.var_node(v),
-        c0,
+        CtxId::EMPTY,
         &mut ticket,
         &mut provider,
         trace,
@@ -125,7 +124,6 @@ pub(crate) fn dynsum_query(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::DemandPointsTo;
     use crate::session::{EngineKind, Session};
     use crate::summary::SummaryCache;
     use dynsum_pag::PagBuilder;
@@ -166,11 +164,10 @@ mod tests {
         cache: &mut SummaryCache,
         parts: &mut DriveParts,
         v: VarId,
-        ctx: &[CallSiteId],
     ) -> QueryResult {
         let config = EngineConfig::default();
         let control = QueryControl::default();
-        dynsum_query(pag, &config, None, cache, parts, v, ctx, &control, None)
+        dynsum_query(pag, &config, None, cache, parts, v, &control, None)
     }
 
     #[test]
@@ -321,11 +318,11 @@ mod tests {
         let (pag, r1, ..) = two_callers();
         let mut cache = SummaryCache::new();
         let mut parts = DriveParts::default();
-        let cold = kernel(&pag, &mut cache, &mut parts, r1, &[]);
+        let cold = kernel(&pag, &mut cache, &mut parts, r1);
         assert!(!cache.is_empty());
         cache.clear();
         assert!(cache.is_empty());
-        let again = kernel(&pag, &mut cache, &mut parts, r1, &[]);
+        let again = kernel(&pag, &mut cache, &mut parts, r1);
         assert!(again.resolved);
         assert_eq!(again.pts, cold.pts);
         assert_eq!(again.stats, cold.stats);
@@ -352,53 +349,5 @@ mod tests {
         let main = pag.find_method("main").unwrap();
         let evicted_main = e.invalidate_method(main);
         assert!(evicted_main > 0, "main's summaries existed too");
-    }
-
-    #[test]
-    fn query_with_explicit_context() {
-        let (pag, ..) = two_callers();
-        // pointsTo(ret, [site1]) must see only o1: the exit edge at site 1
-        // is the only realizable return.
-        let ret = pag.find_var("ret").unwrap();
-        let s1 = pag.find_call_site("1").unwrap();
-        let o1 = pag.find_obj("o1").unwrap();
-        let mut cache = SummaryCache::new();
-        let mut parts = DriveParts::default();
-        let r = kernel(&pag, &mut cache, &mut parts, ret, &[s1]);
-        assert!(r.resolved);
-        assert_eq!(
-            r.pts.objects().into_iter().collect::<Vec<_>>(),
-            vec![o1],
-            "context [1] must restrict the formal's sources to site 1"
-        );
-    }
-
-    #[test]
-    fn explicit_context_filters_returns() {
-        // w0 calls w1 at c0, w1 calls w2 at c1, and w2 allocates its
-        // return value; queried from inside w2 under context [c1].
-        let mut b = PagBuilder::new();
-        let w: Vec<_> = (0..3)
-            .map(|i| b.add_method(&format!("w{i}"), None).unwrap())
-            .collect();
-        let ret2 = b.add_local("ret2", w[2], None).unwrap();
-        let o = b.add_obj("deep", None, Some(w[2])).unwrap();
-        b.add_new(o, ret2).unwrap();
-        let ret1 = b.add_local("ret1", w[1], None).unwrap();
-        let c1 = b.add_call_site("c1", w[1]).unwrap();
-        b.add_exit(c1, ret2, ret1).unwrap();
-        let ret0 = b.add_local("ret0", w[0], None).unwrap();
-        let c0 = b.add_call_site("c0", w[0]).unwrap();
-        b.add_exit(c0, ret1, ret0).unwrap();
-        let pag = b.finish();
-        let mut cache = SummaryCache::new();
-        let mut parts = DriveParts::default();
-        // The allocation is local to w2, so the object is still found.
-        let r = kernel(&pag, &mut cache, &mut parts, ret2, &[c1]);
-        assert!(r.resolved);
-        assert_eq!(r.pts.objects().len(), 1);
-        // The reported allocation context is the query context.
-        let (_, ctx) = r.pts.iter().next().unwrap();
-        assert_ne!(ctx, dynsum_cfl::CtxId::EMPTY);
     }
 }

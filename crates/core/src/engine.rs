@@ -1,11 +1,9 @@
-//! Engine configuration, the common demand-query trait, and shared
-//! context-stack operations, including the one context-matching kernel
+//! Engine configuration, client predicates, and shared context-stack
+//! operations, including the one context-matching kernel
 //! ([`pop_segment`]) every engine's popping transitions go through.
 
-use dynsum_cfl::{
-    Budget, CtxId, Interrupt, PointsToSet, QueryResult, QueryStats, StackPool, Ticket,
-};
-use dynsum_pag::{AdjClass, CallSiteId, NodeId, Pag, VarId};
+use dynsum_cfl::{CtxId, Interrupt, PointsToSet, QueryStats, StackPool, Ticket};
+use dynsum_pag::{AdjClass, CallSiteId, NodeId, Pag};
 
 /// Tuning knobs shared by every demand-driven engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +52,9 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            budget: Budget::DEFAULT_LIMIT,
+            // The paper's per-query edge-traversal limit for every engine
+            // (§5.2).
+            budget: 75_000,
             max_field_depth: 512,
             max_ctx_depth: 256,
             cache_summaries: true,
@@ -128,33 +128,6 @@ pub type ClientCheck<'a> = &'a (dyn Fn(&PointsToSet) -> bool + Sync);
 /// A predicate that is never satisfied — forces full precision.
 pub fn never_satisfied(_: &PointsToSet) -> bool {
     false
-}
-
-/// The common query interface of the four demand-driven points-to
-/// engines of Table 2 — NOREFINE, REFINEPTS, DYNSUM and STASUM — each run
-/// by a [`Session`](crate::Session) of the matching
-/// [`EngineKind`](crate::EngineKind). A `Session` answers one query at a
-/// time through it; a [`QueryHandle`](crate::QueryHandle) answers on a
-/// private shard until it is absorbed.
-pub trait DemandPointsTo {
-    /// Engine name as used in the paper's tables.
-    fn name(&self) -> &'static str;
-
-    /// Answers `pointsTo(v, ∅)` for a client, refining only until
-    /// `satisfied` returns `true` (engines without refinement ignore the
-    /// predicate and always compute the full answer).
-    fn query(&mut self, v: VarId, satisfied: ClientCheck<'_>) -> QueryResult;
-
-    /// Answers `pointsTo(v, ∅)` at full precision.
-    fn points_to(&mut self, v: VarId) -> QueryResult {
-        self.query(v, &never_satisfied)
-    }
-
-    /// Number of method summaries currently memorized across queries
-    /// (DYNSUM's `Cache` size / STASUM's precomputed store; 0 for the
-    /// engines without cross-query memorization). This is the quantity
-    /// plotted in Figure 5.
-    fn summary_count(&self) -> usize;
 }
 
 /// Result of a context-stack operation: the successor context, or `None`
@@ -287,7 +260,7 @@ pub(crate) fn ctx_clear() -> CtxId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynsum_pag::PagBuilder;
+    use dynsum_pag::{PagBuilder, VarId};
     use proptest::prelude::*;
 
     /// `m` calls `m2` at site "1": `a --entry_1--> p`.

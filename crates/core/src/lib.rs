@@ -22,9 +22,9 @@
 //! Each engine is split into a shareable half (frozen PAG + config +
 //! DYNSUM's summary cache / STASUM's precomputed store) and a per-thread
 //! scratch half. A [`Session`] owns the former, answers queries one at a
-//! time through [`DemandPointsTo`] (with [`Session::explain`] adding the
-//! paper's Table 1 trace), and hands out `Send` [`QueryHandle`]s owning
-//! the latter; [`Session::run_batch`]
+//! time ([`Session::points_to`], [`Session::query`], with
+//! [`Session::explain`] adding the paper's Table 1 trace), and hands out
+//! `Send` [`QueryHandle`]s owning the latter; [`Session::run_batch`]
 //! runs query batches across threads with results byte-identical to
 //! sequential execution (deterministic budget accounting — see
 //! [`Summary::cost`]). Batches are interruptible and fault-isolated:
@@ -40,7 +40,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use dynsum_core::{DemandPointsTo, EngineKind, Session};
+//! use dynsum_core::{EngineKind, Session};
 //! use dynsum_pag::PagBuilder;
 //!
 //! // main: v = new O; w = v;
@@ -82,7 +82,7 @@ mod stasum;
 mod summary;
 
 pub use alias::{may_alias, AliasQuery, AliasResult};
-pub use engine::{never_satisfied, ClientCheck, DemandPointsTo, EngineConfig};
+pub use engine::{never_satisfied, ClientCheck, EngineConfig};
 pub use session::{
     BatchControl, EngineKind, FaultPlan, QueryHandle, Session, SessionHealth, SessionQuery,
     SummaryShard,

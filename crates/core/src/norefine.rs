@@ -5,8 +5,8 @@
 //! but repeats every traversal on every query — the paper's slowest
 //! baseline in most configurations.
 
-use dynsum_cfl::{QueryControl, QueryResult, QueryStats, Ticket};
-use dynsum_pag::{CallSiteId, Pag, VarId};
+use dynsum_cfl::{CtxId, QueryControl, QueryResult, QueryStats, Ticket};
+use dynsum_pag::{Pag, VarId};
 
 use crate::engine::EngineConfig;
 use crate::search::{search, Refinement, SearchParts};
@@ -15,20 +15,19 @@ use crate::search::{search, Refinement, SearchParts};
 /// stateless across queries, so everything it needs besides the frozen
 /// PAG and config lives in `parts`.
 ///
-/// The context pool is per-query scratch (cleared here), so the returned
-/// result — including the raw context ids inside the points-to set — is
-/// a deterministic function of `(pag, config, v, ctx)` alone (plus the
+/// The query starts in the empty context (`pointsTo(v, ∅)`). The context
+/// pool is per-query scratch (cleared here), so the returned result —
+/// including the raw context ids inside the points-to set — is a
+/// deterministic function of `(pag, config, v)` alone (plus the
 /// interruption signals of `control`, which can only cut it short).
 pub(crate) fn norefine_query(
     pag: &Pag,
     config: &EngineConfig,
     parts: &mut SearchParts,
     v: VarId,
-    ctx: &[CallSiteId],
     control: &QueryControl,
 ) -> QueryResult {
     parts.ctxs.clear();
-    let c0 = parts.ctxs.from_slice(ctx);
     let mut ticket = Ticket::with_control(config.budget, control);
     let mut stats = QueryStats::default();
     let out = search(
@@ -39,7 +38,7 @@ pub(crate) fn norefine_query(
         config,
         Refinement::All,
         v,
-        c0,
+        CtxId::EMPTY,
         &mut ticket,
         &mut stats,
     );
@@ -52,7 +51,6 @@ pub(crate) fn norefine_query(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::DemandPointsTo;
     use crate::session::{EngineKind, QueryHandle, Session};
     use dynsum_pag::PagBuilder;
 
@@ -82,7 +80,7 @@ mod tests {
         let r = e.points_to(y);
         assert!(r.resolved);
         assert_eq!(r.pts.objects().into_iter().collect::<Vec<_>>(), vec![o1]);
-        assert_eq!(e.name(), "NOREFINE");
+        assert_eq!(e.engine().name(), "NOREFINE");
         assert_eq!(e.summary_count(), 0);
     }
 

@@ -91,7 +91,6 @@ pub(crate) fn refinepts_query(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::DemandPointsTo;
     use crate::session::{EngineKind, Session};
     use dynsum_pag::{ObjId, PagBuilder};
 

@@ -10,8 +10,8 @@
 //! precomputed relative store — and [`Session::handle`] hands out
 //! lightweight [`QueryHandle`]s owning the interning pools, worklist
 //! buffers, and (for DYNSUM) a private cache *shard*. The session itself
-//! implements [`DemandPointsTo`] — each query a one-query batch — and so
-//! do handles, so client code written against the trait runs on either.
+//! answers one query at a time ([`Session::points_to`],
+//! [`Session::query`]), each a one-query batch.
 //!
 //! [`Session::run_batch`] executes a query batch across scoped threads
 //! with a **sharded, merge-on-join** cache discipline: every worker reads
@@ -81,7 +81,7 @@ use dynsum_pag::{MethodId, Pag, VarId};
 
 use crate::driver::DriveParts;
 use crate::dynsum::dynsum_query;
-use crate::engine::{never_satisfied, ClientCheck, DemandPointsTo, EngineConfig};
+use crate::engine::{never_satisfied, ClientCheck, EngineConfig};
 use crate::norefine::norefine_query;
 use crate::refinepts::refinepts_query;
 use crate::search::SearchParts;
@@ -346,7 +346,7 @@ pub(crate) enum SharedState {
 /// # Examples
 ///
 /// ```
-/// use dynsum_core::{DemandPointsTo, EngineKind, Session};
+/// use dynsum_core::{EngineKind, Session};
 /// use dynsum_pag::PagBuilder;
 ///
 /// let mut b = PagBuilder::new();
@@ -514,12 +514,6 @@ impl<'p> Session<'p> {
     /// [`run_batch`](Self::run_batch) call.
     pub fn warm_workers(&self) -> usize {
         self.warm.len()
-    }
-
-    /// Drops the warm worker pool (for memory pressure; the next batch
-    /// rebuilds scratch from scratch).
-    pub fn shed_workers(&mut self) {
-        self.warm.clear();
     }
 
     /// Lifetime count of batch workers that could not be spawned and
@@ -738,7 +732,7 @@ impl<'p> Session<'p> {
     /// degradations.
     ///
     /// Queries on the calling thread — every 1-thread batch, and every
-    /// query through [`DemandPointsTo`] — run PPTA recursion on the
+    /// [`query`](Self::query) — run PPTA recursion on the
     /// caller's stack, which is typically smaller than
     /// [`EngineConfig::worker_stack_bytes`]. Callers with unusually
     /// deep-recursion workloads who relied on the worker reservation
@@ -886,6 +880,26 @@ impl<'p> Session<'p> {
         self.run_batch(&queries, threads)
     }
 
+    /// Answers `pointsTo(v, ∅)` at full precision.
+    pub fn points_to(&mut self, v: VarId) -> QueryResult {
+        self.query(v, &never_satisfied)
+    }
+
+    /// Answers `pointsTo(v, ∅)` for a client, refining only until
+    /// `satisfied` returns `true` (engines without refinement ignore the
+    /// predicate and always compute the full answer).
+    ///
+    /// One query as a one-query [`run_batch`](Self::run_batch) on the
+    /// calling thread: a warm-slot checkout, the query, the shard merge
+    /// and the size-cap sweep. Uncapped, every query's
+    /// [`QueryStats`](dynsum_cfl::QueryStats) equal those of the same
+    /// stream run as one batch; under a cap only the answers do, since
+    /// the sweep then runs over the shard and the shared cache in turn.
+    pub fn query(&mut self, v: VarId, satisfied: ClientCheck<'_>) -> QueryResult {
+        let mut out = self.run_batch(&[SessionQuery::with_check(v, satisfied)], 1);
+        out.pop().expect("one result per query")
+    }
+
     /// Answers `pointsTo(v, ∅)` at full precision and returns the
     /// driver's step trace with it — the paper's Table 1 view of which
     /// summaries a query computed and which it reused. Table 1 is
@@ -894,7 +908,7 @@ impl<'p> Session<'p> {
     /// Tracing changes nothing: the query runs on a fresh handle whose
     /// shard is then [`absorb`](Self::absorb)ed, so the result, the merged
     /// summaries and the cache counters are those of the untraced
-    /// [`points_to`](DemandPointsTo::points_to).
+    /// [`points_to`](Self::points_to).
     pub fn explain(&mut self, v: VarId) -> (QueryResult, Trace) {
         let mut trace = Trace::new();
         let mut handle = self.handle();
@@ -908,27 +922,6 @@ impl<'p> Session<'p> {
         self.absorb(shard);
         self.count_outcomes(std::slice::from_ref(&result));
         (result, trace)
-    }
-}
-
-impl DemandPointsTo for Session<'_> {
-    fn name(&self) -> &'static str {
-        self.kind.name()
-    }
-
-    /// One query as a one-query [`run_batch`](Session::run_batch) on the
-    /// calling thread: a warm-slot checkout, the query, the shard merge
-    /// and the size-cap sweep. Uncapped, every query's
-    /// [`QueryStats`](dynsum_cfl::QueryStats) equal those of the same
-    /// stream run as one batch; under a cap only the answers do, since
-    /// the sweep then runs over the shard and the shared cache in turn.
-    fn query(&mut self, v: VarId, satisfied: ClientCheck<'_>) -> QueryResult {
-        let mut out = self.run_batch(&[SessionQuery::with_check(v, satisfied)], 1);
-        out.pop().expect("one result per query")
-    }
-
-    fn summary_count(&self) -> usize {
-        Session::summary_count(self)
     }
 }
 
@@ -1079,8 +1072,8 @@ enum HandleScratch {
 ///
 /// Owns everything a query mutates — interning pools, worklist and PPTA
 /// scratch, and (DYNSUM) a private summary shard layered over the shared
-/// session cache. Implements [`DemandPointsTo`], so existing client code
-/// runs against a handle unchanged.
+/// session cache, which [`into_summaries`](Self::into_summaries) detaches
+/// for [`Session::absorb`].
 #[derive(Debug)]
 pub struct QueryHandle<'s, 'p> {
     session: &'s Session<'p>,
@@ -1092,21 +1085,13 @@ pub struct QueryHandle<'s, 'p> {
 }
 
 impl QueryHandle<'_, '_> {
-    /// The session this handle queries.
-    pub fn session(&self) -> &Session<'_> {
-        self.session
+    /// Answers `pointsTo(v, ∅)` at full precision on this handle's
+    /// shard.
+    pub fn points_to(&mut self, v: VarId) -> QueryResult {
+        self.query_with(v, &never_satisfied, &QueryControl::default())
     }
 
-    /// Summaries accumulated in this handle's private shard (0 for
-    /// engines without a cache).
-    pub fn shard_len(&self) -> usize {
-        match &self.scratch {
-            HandleScratch::DynSum { shard, .. } => shard.len(),
-            _ => 0,
-        }
-    }
-
-    /// [`query`](DemandPointsTo::query) under an explicit
+    /// [`Session::query`] on this handle's shard, under an explicit
     /// [`QueryControl`] — a cancel token, deadline, or deterministic
     /// fuse observed at budget-charge granularity. A tripped control
     /// unwinds exactly like budget exhaustion: the result carries the
@@ -1136,27 +1121,15 @@ impl QueryHandle<'_, '_> {
         let pag = self.session.pag;
         let config = &self.session.config;
         match (&mut self.scratch, &self.session.state) {
-            (HandleScratch::NoRefine(parts), _) => {
-                norefine_query(pag, config, parts, v, &[], control)
-            }
+            (HandleScratch::NoRefine(parts), _) => norefine_query(pag, config, parts, v, control),
             (HandleScratch::RefinePts(parts), _) => {
                 refinepts_query(pag, config, parts, v, satisfied, control)
             }
             (HandleScratch::DynSum { parts, shard }, SharedState::DynSum { cache, .. }) => {
-                dynsum_query(
-                    pag,
-                    config,
-                    Some(cache),
-                    shard,
-                    parts,
-                    v,
-                    &[],
-                    control,
-                    trace,
-                )
+                dynsum_query(pag, config, Some(cache), shard, parts, v, control, trace)
             }
             (HandleScratch::StaSum(parts), SharedState::StaSum(shared)) => {
-                stasum_query(pag, config, shared, parts, v, &[], control)
+                stasum_query(pag, config, shared, parts, v, control)
             }
             _ => unreachable!("handle scratch always matches its session's state"),
         }
@@ -1173,21 +1146,6 @@ impl QueryHandle<'_, '_> {
             },
             _ => SummaryShard::default(),
         }
-    }
-}
-
-impl DemandPointsTo for QueryHandle<'_, '_> {
-    fn name(&self) -> &'static str {
-        self.session.kind.name()
-    }
-
-    fn query(&mut self, v: VarId, satisfied: ClientCheck<'_>) -> QueryResult {
-        self.query_with(v, satisfied, &QueryControl::default())
-    }
-
-    /// Shared summaries plus this handle's unmerged shard.
-    fn summary_count(&self) -> usize {
-        self.session.summary_count() + self.shard_len()
     }
 }
 
@@ -1235,25 +1193,25 @@ mod tests {
         (b.finish(), vec![r1, r2, a1, a2, ret, p], o1, o2)
     }
 
-    /// The reference is a session driven one query at a time through
-    /// [`DemandPointsTo`]. A handle answers on its private shard while
-    /// the session merges after every query; over the same stream both
-    /// see the same summaries, so results and work counters agree
-    /// exactly.
+    /// The reference is a session answering one query at a time. A
+    /// handle answers on its private shard while the session merges
+    /// after every query; over the same stream both see the same
+    /// summaries, so results and work counters agree exactly.
     #[test]
     fn handles_agree_with_legacy_engines_for_every_kind() {
         let (pag, vars, ..) = two_callers();
         for kind in EngineKind::ALL {
-            let session = Session::new(&pag, kind);
+            let mut session = Session::new(&pag, kind);
             let mut handle = session.handle();
             let mut one_at_a_time = Session::new(&pag, kind);
-            assert_eq!(handle.name(), one_at_a_time.name());
             for &v in vars.iter().chain(&vars) {
                 let a = handle.points_to(v);
                 let b = one_at_a_time.points_to(v);
                 assert_eq!(a, b, "{kind} on {v:?}");
             }
-            assert_eq!(handle.summary_count(), one_at_a_time.summary_count());
+            let shard = handle.into_summaries();
+            session.absorb(shard);
+            assert_eq!(session.summary_count(), one_at_a_time.summary_count());
         }
     }
 
@@ -1412,12 +1370,9 @@ mod tests {
             assert_eq!(a.resolved, b.resolved);
             assert_eq!(a.pts, b.pts);
         }
-        // A wider batch grows it; shedding empties it.
+        // A wider batch grows it.
         session.run_batch_vars(&vars, 4);
         assert_eq!(session.warm_workers(), 4);
-        session.shed_workers();
-        assert_eq!(session.warm_workers(), 0);
-        assert!(session.run_batch_vars(&vars, 3).len() == vars.len());
     }
 
     #[test]

@@ -63,7 +63,7 @@
 //! immediately:
 //!
 //! ```
-//! use dynsum_core::{DemandPointsTo, EngineConfig, EngineKind, Session, SnapshotLoad};
+//! use dynsum_core::{EngineConfig, EngineKind, Session, SnapshotLoad};
 //! use dynsum_pag::PagBuilder;
 //!
 //! let mut b = PagBuilder::new();
@@ -658,7 +658,6 @@ impl<'p> Session<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::DemandPointsTo;
     use dynsum_pag::{ObjId, PagBuilder, VarId};
 
     /// r = get(c) where get loads this.f — summaries with non-empty

@@ -28,10 +28,10 @@
 use std::sync::Arc;
 
 use dynsum_cfl::{
-    Budget, BudgetExceeded, Direction, FieldFrame, FieldStackId, FxHashMap, FxHashSet, Interrupt,
-    QueryControl, QueryResult, QueryStats, StackPool, StepKind, Ticket, Trace,
+    CtxId, Direction, FieldFrame, FieldStackId, FxHashMap, FxHashSet, Interrupt, QueryControl,
+    QueryResult, QueryStats, StackPool, StepKind, Ticket, Trace,
 };
-use dynsum_pag::{AdjClass, CallSiteId, NodeId, NodeRef, ObjId, Pag, VarId};
+use dynsum_pag::{AdjClass, NodeId, NodeRef, ObjId, Pag, VarId};
 
 use crate::driver::{drive, DriveParts};
 use crate::engine::EngineConfig;
@@ -134,7 +134,7 @@ fn precompute_node(
         pag,
         fields,
         max_have_depth: config.max_field_depth,
-        budget: Budget::new(NODE_BUDGET),
+        ticket: Ticket::new(NODE_BUDGET),
         visited: FxHashSet::default(),
         out: RawRelSummary::default(),
     };
@@ -166,15 +166,14 @@ fn precompute_node(
     shared.rel.insert((n, dir), summary);
 }
 
-/// Runs one STASUM query over borrowed per-handle state; `shared` is the
-/// frozen precomputation product.
+/// Runs one STASUM query from the empty context over borrowed
+/// per-handle state; `shared` is the frozen precomputation product.
 pub(crate) fn stasum_query(
     pag: &Pag,
     config: &EngineConfig,
     shared: &StaSumShared,
     parts: &mut DriveParts,
     v: VarId,
-    ctx: &[CallSiteId],
     control: &QueryControl,
 ) -> QueryResult {
     let DriveParts {
@@ -184,7 +183,6 @@ pub(crate) fn stasum_query(
         ppta: ppta_scratch,
     } = parts;
     ctxs.clear();
-    let c0 = ctxs.from_slice(ctx);
     let mut provider = |fields: &mut StackPool<FieldFrame>,
                         ticket: &mut Ticket,
                         stats: &mut QueryStats,
@@ -213,7 +211,7 @@ pub(crate) fn stasum_query(
         drive_scratch,
         config,
         pag.var_node(v),
-        c0,
+        CtxId::EMPTY,
         &mut ticket,
         &mut provider,
         None::<&mut Trace>,
@@ -291,14 +289,14 @@ struct RelPpta<'a, 'p> {
     pag: &'p Pag,
     fields: &'a mut StackPool<FieldFrame>,
     max_have_depth: usize,
-    budget: Budget,
+    ticket: Ticket,
     visited: FxHashSet<(NodeId, FieldStackId, FieldStackId, Direction, bool)>,
     out: RawRelSummary,
 }
 
 impl RelPpta<'_, '_> {
-    fn charge(&mut self) -> Result<(), BudgetExceeded> {
-        self.budget.charge()
+    fn charge(&mut self) -> Result<(), Interrupt> {
+        self.ticket.charge()
     }
 
     /// Pops field `g`, consuming from `have` first and extending `need`
@@ -331,13 +329,9 @@ impl RelPpta<'_, '_> {
         }
     }
 
-    fn rel_push(
-        &mut self,
-        have: FieldStackId,
-        g: FieldFrame,
-    ) -> Result<FieldStackId, BudgetExceeded> {
+    fn rel_push(&mut self, have: FieldStackId, g: FieldFrame) -> Result<FieldStackId, Interrupt> {
         if self.fields.depth(have) >= self.max_have_depth {
-            return Err(BudgetExceeded);
+            return Err(Interrupt::Budget);
         }
         Ok(self.fields.push(have, g))
     }
@@ -349,7 +343,7 @@ impl RelPpta<'_, '_> {
         have: FieldStackId,
         s: Direction,
         strict: bool,
-    ) -> Result<(), BudgetExceeded> {
+    ) -> Result<(), Interrupt> {
         if !self.visited.insert((u, need, have, s, strict)) {
             return Ok(());
         }
@@ -365,7 +359,7 @@ impl RelPpta<'_, '_> {
         need: FieldStackId,
         have: FieldStackId,
         strict: bool,
-    ) -> Result<(), BudgetExceeded> {
+    ) -> Result<(), Interrupt> {
         let mut saw_new = false;
         for &a in self.pag.in_seg(u, AdjClass::New) {
             self.charge()?;
@@ -414,7 +408,7 @@ impl RelPpta<'_, '_> {
         need: FieldStackId,
         have: FieldStackId,
         strict: bool,
-    ) -> Result<(), BudgetExceeded> {
+    ) -> Result<(), Interrupt> {
         for &a in self.pag.out_seg(u, AdjClass::Assign) {
             self.charge()?;
             self.go(a.node, need, have, Direction::S2, strict)?;
@@ -459,7 +453,6 @@ impl RelPpta<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::DemandPointsTo;
     use crate::session::{EngineKind, Session};
     use dynsum_pag::PagBuilder;
 
@@ -471,7 +464,7 @@ mod tests {
     fn kernel(pag: &Pag, shared: &StaSumShared, parts: &mut DriveParts, v: VarId) -> QueryResult {
         let config = EngineConfig::default();
         let control = QueryControl::default();
-        stasum_query(pag, &config, shared, parts, v, &[], &control)
+        stasum_query(pag, &config, shared, parts, v, &control)
     }
 
     /// The Vector-ish cross-method shape: callee loads through fields,

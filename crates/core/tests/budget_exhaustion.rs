@@ -4,8 +4,8 @@
 //! partial answer — without panicking, and the engine must stay usable
 //! for subsequent queries.
 
-use dynsum_cfl::{Budget, Outcome};
-use dynsum_core::{DemandPointsTo, EngineConfig, EngineKind, Session};
+use dynsum_cfl::Outcome;
+use dynsum_core::{EngineConfig, EngineKind, Session};
 use dynsum_pag::{Pag, PagBuilder, VarId};
 
 /// Deterministic mixer for the pseudo-random edge wiring (the PAG is
@@ -49,7 +49,6 @@ fn deep_random_pag(layers: usize, width: usize, preds: usize, seed: u64) -> (Pag
 
 #[test]
 fn default_budget_matches_the_paper() {
-    assert_eq!(Budget::DEFAULT_LIMIT, 75_000);
     assert_eq!(EngineConfig::default().budget, 75_000);
 }
 
@@ -61,7 +60,7 @@ fn norefine_exhausts_budget_without_panicking() {
     assert!(dynsum_pag::validate(&pag).is_empty());
 
     let mut engine = Session::new(&pag, EngineKind::NoRefine);
-    assert_eq!(engine.config().budget, Budget::DEFAULT_LIMIT);
+    assert_eq!(engine.config().budget, EngineConfig::default().budget);
 
     let r = engine.points_to(query);
     assert!(!r.resolved, "90k-edge DAG must exceed the 75k budget");

@@ -2,7 +2,7 @@
 //! chains, heap contexts, recursion transparency, and cap behavior.
 
 use dynsum_cfl::{Outcome, QueryResult};
-use dynsum_core::{DemandPointsTo, EngineConfig, EngineKind, Session};
+use dynsum_core::{EngineConfig, EngineKind, Session};
 use dynsum_pag::{MethodId, Pag, PagBuilder, VarId};
 
 /// One full-precision query on a fresh `kind` session.

@@ -14,7 +14,7 @@
 //!    solution (context sensitivity only removes objects);
 //! 4. the context-insensitive demand engine == Andersen exactly
 //!    (`L_FT` reachability ≡ inclusion-based points-to);
-//! 5. a session answering one query at a time through `DemandPointsTo`
+//! 5. a session answering one query at a time (`Session::points_to`)
 //!    does exactly the work of the same stream run as one batch, for
 //!    every engine kind.
 
@@ -22,7 +22,7 @@ use std::collections::BTreeSet;
 
 use dynsum_andersen::Andersen;
 use dynsum_cfl::{Outcome, QueryResult};
-use dynsum_core::{DemandPointsTo, EngineConfig, EngineKind, Session};
+use dynsum_core::{EngineConfig, EngineKind, Session};
 use dynsum_pag::{ObjId, Pag, PagBuilder, VarId};
 use proptest::prelude::*;
 

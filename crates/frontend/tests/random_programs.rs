@@ -8,7 +8,7 @@
 //! receiver type.
 
 use dynsum_andersen::Andersen;
-use dynsum_core::{DemandPointsTo, EngineKind, Session};
+use dynsum_core::{EngineKind, Session};
 use dynsum_frontend::{compile, compile_with, CallGraphMode};
 use proptest::prelude::*;
 

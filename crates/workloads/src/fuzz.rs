@@ -56,9 +56,7 @@ use std::collections::BTreeSet;
 
 use dynsum_andersen::Andersen;
 use dynsum_cfl::{Outcome, QueryResult};
-use dynsum_core::{
-    BatchControl, DemandPointsTo, EngineConfig, EngineKind, FaultPlan, Session, SessionQuery,
-};
+use dynsum_core::{BatchControl, EngineConfig, EngineKind, FaultPlan, Session, SessionQuery};
 use dynsum_pag::{ObjId, VarId};
 
 use crate::generator::{try_generate, GeneratorError, GeneratorOptions, Workload};

@@ -21,8 +21,9 @@
 //! parser partitions by first token — neither is a PAG keyword), but
 //! the writer always emits the PAG first. Locations may contain spaces
 //! (they are the trailing tokens); node names cannot, exactly as in the
-//! PAG format itself. `#` starts a comment at the start of a line or
-//! after whitespace, so corpus files can carry provenance notes.
+//! PAG format itself. As in the PAG format, a comment starts at the
+//! first token that starts with `#` (after any whitespace), so corpus
+//! files can carry provenance notes.
 
 use std::fmt::Write as _;
 
@@ -55,17 +56,13 @@ fn err(line: usize, message: impl Into<String>) -> WireError {
     }
 }
 
-/// Strips a trailing `#`-comment (only at line start or after
-/// whitespace, mirroring the PAG format: names may contain `#`).
-fn strip_comment(line: &str) -> &str {
-    if let Some(rest) = line.trim_start().strip_prefix('#') {
-        let _ = rest;
-        return "";
-    }
-    match line.find(" #") {
-        Some(i) => &line[..i],
-        None => line,
-    }
+/// The tokens of one line, with `parse_pag`'s comment rule: a comment
+/// starts at the first token that starts with `#` (names may contain
+/// `#`, but none starts with it).
+fn tokens(line: &str) -> Vec<&str> {
+    line.split_whitespace()
+        .take_while(|t| !t.starts_with('#'))
+        .collect()
 }
 
 /// Serializes a workload. Deterministic; round-trips through
@@ -116,18 +113,12 @@ pub fn parse_workload(input: &str) -> Result<Workload, WireError> {
         let (idx, raw) = lines
             .next()
             .ok_or_else(|| err(1, "empty document, expected `workload v1 <name>`"))?;
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
+        match tokens(raw).as_slice() {
+            [] => continue,
+            ["workload", "v1"] => return Err(err(idx + 1, "workload name must not be empty")),
+            ["workload", "v1", name @ ..] => break name.join(" "),
+            _ => return Err(err(idx + 1, "expected `workload v1 <name>` header")),
         }
-        let rest = line
-            .strip_prefix("workload v1 ")
-            .ok_or_else(|| err(idx + 1, "expected `workload v1 <name>` header"))?;
-        let name = rest.trim();
-        if name.is_empty() {
-            return Err(err(idx + 1, "workload name must not be empty"));
-        }
-        break name.to_owned();
     };
 
     // Partition the remainder: `site`/`entrypoint` lines vs the PAG
@@ -135,8 +126,7 @@ pub fn parse_workload(input: &str) -> Result<Workload, WireError> {
     let mut pag_lines: Vec<(usize, &str)> = Vec::new();
     let mut site_lines: Vec<(usize, Vec<&str>)> = Vec::new();
     for (idx, raw) in lines {
-        let line = strip_comment(raw);
-        let toks: Vec<&str> = line.split_whitespace().collect();
+        let toks = tokens(raw);
         match toks.first() {
             Some(&"site") | Some(&"entrypoint") => site_lines.push((idx + 1, toks)),
             _ => pag_lines.push((idx + 1, raw)),
@@ -268,6 +258,27 @@ mod tests {
             back.info.derefs.last().unwrap().location,
             "some location with spaces"
         );
+    }
+
+    #[test]
+    fn a_hash_after_any_whitespace_starts_a_comment() {
+        // A tab-separated comment on every line — header, PAG block,
+        // entrypoint and every site kind — parses as if it were absent.
+        let mut w = generate(
+            &PROFILES[0],
+            &GeneratorOptions {
+                scale: 0.005,
+                seed: 1,
+                ..GeneratorOptions::default()
+            },
+        );
+        w.info.entry = w.pag.methods().next().map(|(m, _)| m);
+        assert!(!w.info.casts.is_empty() && !w.info.derefs.is_empty());
+        assert!(!w.info.factories.is_empty());
+        let text = write_workload(&w);
+        let commented: String = text.lines().map(|l| format!("{l}\t# note\n")).collect();
+        let back = parse_workload(&commented).expect("commented document parses");
+        assert_eq!(write_workload(&back), text);
     }
 
     #[test]

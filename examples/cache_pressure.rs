@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 
-use dynsum::{run_batches, ClientKind, DemandPointsTo, EngineConfig, EngineKind, Session};
+use dynsum::{run_batches, ClientKind, EngineConfig, EngineKind, Session};
 use dynsum_clients::queries_for;
 use dynsum_workloads::{generate, BenchmarkProfile, GeneratorOptions};
 

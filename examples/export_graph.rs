@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example export_graph`
 
-use dynsum::{compile, DemandPointsTo, EngineKind, Session};
+use dynsum::{compile, EngineKind, Session};
 use dynsum_pag::text::{parse_pag, write_pag};
 use dynsum_workloads::MOTIVATING_SOURCE;
 

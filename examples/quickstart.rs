@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use dynsum::{compile, DemandPointsTo, EngineKind, Session};
+use dynsum::{compile, EngineKind, Session};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let source = r#"

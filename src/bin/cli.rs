@@ -20,7 +20,7 @@ use dynsum::analysis::may_alias;
 use dynsum::clients::{run_client, ClientKind};
 use dynsum::pag::text::{parse_pag, write_pag};
 use dynsum::pag::{Pag, ProgramInfo};
-use dynsum::{compile_with, CallGraphMode, DemandPointsTo, EngineConfig, EngineKind, Session};
+use dynsum::{compile_with, CallGraphMode, EngineConfig, EngineKind, Session};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -75,7 +75,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         file: None,
         vars: Vec::new(),
         engine: "dynsum".to_owned(),
-        budget: 75_000,
+        budget: EngineConfig::default().budget,
         callgraph: CallGraphMode::OnTheFly,
         emit: "stats".to_owned(),
     };

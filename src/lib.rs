@@ -25,7 +25,7 @@
 //! ## Example: source to points-to set
 //!
 //! ```
-//! use dynsum::{compile, DemandPointsTo, EngineKind, Session};
+//! use dynsum::{compile, EngineKind, Session};
 //!
 //! let program = "
 //!     class Box {
@@ -63,7 +63,7 @@
 //! sequential execution:
 //!
 //! ```
-//! use dynsum::{compile, DemandPointsTo, EngineKind, Session, SessionQuery};
+//! use dynsum::{compile, EngineKind, Session, SessionQuery};
 //!
 //! let program = "
 //!     class Box {
@@ -82,7 +82,7 @@
 //! let compiled = compile(program)?;
 //! let mut session = Session::new(&compiled.pag, EngineKind::DynSum);
 //!
-//! // A handle is a full DemandPointsTo engine over the shared state.
+//! // A handle answers queries on a private shard over the shared state.
 //! let got = compiled.pag.find_var("Main.main#got").expect("var exists");
 //! let mut handle = session.handle();
 //! assert!(handle.points_to(got).resolved);
@@ -111,7 +111,7 @@
 //! [`analysis::snapshot`]):
 //!
 //! ```
-//! use dynsum::{compile, DemandPointsTo, EngineConfig, EngineKind, Session};
+//! use dynsum::{compile, EngineConfig, EngineKind, Session};
 //!
 //! let program = "
 //!     class Box {
@@ -179,14 +179,14 @@ pub use dynsum_workloads as workloads;
 
 pub use dynsum_andersen::Andersen;
 pub use dynsum_cfl::{
-    Budget, CancelToken, Interrupt, Outcome, PointsToSet, QueryControl, QueryResult, Ticket,
+    CancelToken, Interrupt, Outcome, PointsToSet, QueryControl, QueryResult, Ticket,
 };
 pub use dynsum_clients::{
     run_batches, run_client, split_batches, BatchReport, ClientKind, ClientReport,
 };
 pub use dynsum_core::{
-    pag_fingerprint, BatchControl, CacheStats, DemandPointsTo, EngineConfig, EngineKind, FaultPlan,
-    QueryHandle, Session, SessionHealth, SessionQuery, SnapshotLoad, SnapshotReject, SummaryShard,
+    pag_fingerprint, BatchControl, CacheStats, EngineConfig, EngineKind, FaultPlan, QueryHandle,
+    Session, SessionHealth, SessionQuery, SnapshotLoad, SnapshotReject, SummaryShard,
     SNAPSHOT_VERSION,
 };
 pub use dynsum_frontend::{compile, compile_with, CallGraphMode, CompileError};

@@ -7,8 +7,7 @@
 use dynsum::cfl::{CtxId, Outcome, QueryControl};
 use dynsum::pag::ObjId;
 use dynsum::{
-    split_batches, ClientKind, DemandPointsTo, EngineConfig, EngineKind, QueryResult, Session,
-    SessionQuery,
+    split_batches, ClientKind, EngineConfig, EngineKind, QueryResult, Session, SessionQuery,
 };
 use dynsum_clients::queries_for;
 use dynsum_workloads::{generate, BenchmarkProfile, GeneratorOptions, PROFILES};

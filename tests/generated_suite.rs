@@ -2,7 +2,7 @@
 //! agreement at scale, oracle soundness, serialization, and the headline
 //! performance shapes.
 
-use dynsum::{Andersen, DemandPointsTo, EngineConfig, EngineKind, Pag, Session};
+use dynsum::{Andersen, EngineConfig, EngineKind, Pag, Session};
 use dynsum_clients::{run_batches, run_client, ClientKind};
 use dynsum_workloads::{generate, BenchmarkProfile, GeneratorOptions, PROFILES};
 

@@ -2,7 +2,7 @@
 //! §4.3's summary reuse, and agreement between the hand-built Figure 2
 //! PAG and the frontend-compiled one.
 
-use dynsum::{compile, DemandPointsTo, EngineKind, Pag, Session};
+use dynsum::{compile, EngineKind, Pag, Session};
 use dynsum_workloads::{motivating_pag, MOTIVATING_SOURCE};
 
 fn dynsum_session(pag: &Pag) -> Session<'_> {
@@ -55,7 +55,7 @@ fn summary_reuse_makes_s2_cheaper() {
 #[test]
 fn all_engines_agree_on_the_motivating_queries() {
     let m = motivating_pag();
-    let expect = |engine: &mut dyn DemandPointsTo, name: &str| {
+    let expect = |engine: &mut Session<'_>, name: &str| {
         let r1 = engine.points_to(m.s1);
         let r2 = engine.points_to(m.s2);
         assert!(r1.resolved && r2.resolved, "{name} must resolve");

@@ -1,11 +1,11 @@
 //! End-to-end pipeline tests: source → PAG → every engine, checked
 //! against the Andersen oracle and exact expected facts.
 
-use dynsum::{compile, Andersen, DemandPointsTo, EngineConfig, EngineKind, Session};
+use dynsum::{compile, Andersen, EngineConfig, EngineKind, Session};
 use dynsum_workloads::corpus;
 
 /// Resolves a variable's points-to set to sorted object labels.
-fn labels(pag: &dynsum::Pag, engine: &mut dyn DemandPointsTo, var: &str) -> Vec<String> {
+fn labels(pag: &dynsum::Pag, engine: &mut Session<'_>, var: &str) -> Vec<String> {
     let v = pag.find_var(var).unwrap_or_else(|| panic!("no var {var}"));
     let r = engine.points_to(v);
     assert!(r.resolved, "query on {var} must resolve");

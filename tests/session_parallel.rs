@@ -1,14 +1,15 @@
 //! Determinism properties of the `Session` API: `run_batch` at any
 //! thread count must return exactly the points-to sets and client
-//! verdicts of the sequential `DemandPointsTo` path — on generated
-//! workload graphs, for warm and budget-starved configurations alike —
-//! plus compile-time `Send`/`Sync` assertions for the session types.
+//! verdicts of one query at a time through `Session::points_to` — on
+//! generated workload graphs, for warm and budget-starved configurations
+//! alike — plus compile-time `Send`/`Sync` assertions for the session
+//! types.
 
 use dynsum::cfl::{CtxId, Outcome};
 use dynsum::pag::ObjId;
 use dynsum::{
-    ClientKind, DemandPointsTo, EngineConfig, EngineKind, QueryHandle, QueryResult, Session,
-    SessionQuery, SummaryShard,
+    ClientKind, EngineConfig, EngineKind, QueryHandle, QueryResult, Session, SessionQuery,
+    SummaryShard,
 };
 use dynsum_clients::{queries_for, verdict};
 use dynsum_workloads::{generate, GeneratorOptions, Workload, PROFILES};

@@ -9,8 +9,7 @@
 use dynsum::cfl::{CtxId, Outcome};
 use dynsum::pag::ObjId;
 use dynsum::{
-    ClientKind, DemandPointsTo, EngineConfig, EngineKind, QueryResult, Session, SessionQuery,
-    SnapshotReject,
+    ClientKind, EngineConfig, EngineKind, QueryResult, Session, SessionQuery, SnapshotReject,
 };
 use dynsum_clients::queries_for;
 use dynsum_workloads::{generate, BenchmarkProfile, GeneratorOptions, PROFILES};
