@@ -262,7 +262,8 @@ impl<E: Copy + Eq + Hash> StackPool<E> {
     /// use dynsum_cfl::{StackId, StackPool};
     ///
     /// let mut pool: StackPool<u8> = StackPool::new();
-    /// let s = pool.from_slice(&[7, 9]);
+    /// let seven = pool.push(StackId::EMPTY, 7);
+    /// let s = pool.push(seven, 9);
     /// pool.freeze();
     /// let t = pool.push(s, 11); // extends past the frozen prefix
     ///
@@ -357,6 +358,7 @@ impl<E: Copy + Eq + Hash> StackPool<E> {
     }
 
     /// Interns a stack from elements given bottom-to-top.
+    #[cfg(test)]
     pub fn from_slice(&mut self, elems: &[E]) -> StackId<E> {
         let mut s = StackId::EMPTY;
         for &e in elems {

@@ -190,8 +190,8 @@ impl std::fmt::Debug for SessionQuery<'_> {
 }
 
 /// Batch-wide interruption controls for [`Session::run_batch_with`]:
-/// a shared cancel token, a deadline applied to every query, the ticket
-/// poll cadence, and an optional deterministic [`FaultPlan`].
+/// a shared cancel token, a deadline applied to every query, and an
+/// optional deterministic [`FaultPlan`].
 ///
 /// The default control never interrupts — [`Session::run_batch`] is
 /// exactly `run_batch_with(queries, threads, &BatchControl::default())`.
@@ -203,9 +203,6 @@ pub struct BatchControl {
     pub cancel: Option<Arc<CancelToken>>,
     /// Deadline applied to every query in the batch.
     pub deadline: Option<Instant>,
-    /// Budget-charge poll cadence forwarded to each query's ticket
-    /// (0 = the [`QueryControl`] default).
-    pub poll_every: u64,
     /// Deterministic fault-injection plan, for tests and the
     /// differential fuzzer's fault regime. `None` in production.
     pub faults: Option<FaultPlan>,
@@ -223,9 +220,6 @@ impl BatchControl {
         }
         if let Some(deadline) = self.deadline {
             qc = qc.deadline_at(deadline);
-        }
-        if self.poll_every != 0 {
-            qc = qc.poll_every(self.poll_every);
         }
         if let Some(plan) = &self.faults {
             if let Some(&at) = plan.cancel_after.get(&query_index) {
@@ -276,11 +270,6 @@ pub struct FaultPlan {
     /// survive (counted by [`Session::spawn_failures`]). Ignored by
     /// 1-thread batches, which spawn nothing.
     pub fail_spawns: BTreeSet<usize>,
-    /// `write` call index after which snapshot saves fail. `run_batch`
-    /// itself never saves snapshots; IO-fault harnesses (the snapshot
-    /// unit tests, the fuzzer's fault regime) consume this to construct
-    /// a failing writer around [`Session::save_snapshot`].
-    pub snapshot_io_after: Option<u64>,
 }
 
 impl FaultPlan {
@@ -290,7 +279,6 @@ impl FaultPlan {
             && self.cancel_after.is_empty()
             && self.deadline_after.is_empty()
             && self.fail_spawns.is_empty()
-            && self.snapshot_io_after.is_none()
     }
 }
 
@@ -1488,7 +1476,6 @@ mod tests {
         token.cancel();
         let control = BatchControl {
             cancel: Some(Arc::clone(&token)),
-            poll_every: 1,
             ..BatchControl::default()
         };
         let queries: Vec<SessionQuery<'_>> = vars.iter().map(|&v| SessionQuery::new(v)).collect();
@@ -1513,7 +1500,6 @@ mod tests {
         let mut session = Session::new(&pag, EngineKind::DynSum);
         let control = BatchControl {
             deadline: Some(Instant::now()),
-            poll_every: 1,
             ..BatchControl::default()
         };
         let queries: Vec<SessionQuery<'_>> = vars.iter().map(|&v| SessionQuery::new(v)).collect();

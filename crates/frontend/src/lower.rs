@@ -91,7 +91,7 @@ pub(crate) fn lower(program: &Program, syms: Symbols) -> Result<Lowered, Compile
 
     // Entry point: a static `main` anywhere (first match by class order).
     for c in &program.classes {
-        if let Some(&cid) = lw.syms.classes.get(&c.name) {
+        if let Some(cid) = lw.syms.builder.find_class(&c.name) {
             if let Some(m) = lw.syms.methods.get(&(cid, "main".to_owned())) {
                 if m.is_static {
                     lw.info.entry = Some(m.id);
@@ -453,7 +453,7 @@ impl Lowerer {
         if cx.lookup(name).is_some() {
             return None; // a local shadows the class name
         }
-        let &class = self.syms.classes.get(name)?;
+        let class = self.syms.builder.find_class(name)?;
         self.syms.static_field(class, field)
     }
 
@@ -543,8 +543,8 @@ impl Lowerer {
                 let elem_ty: Ty = if elem == "int" {
                     None
                 } else {
-                    match self.syms.classes.get(elem) {
-                        Some(&c) => Some(c),
+                    match self.syms.builder.find_class(elem) {
+                        Some(c) => Some(c),
                         None => return Err(Self::err(*span, format!("unknown class `{elem}`"))),
                     }
                 };
@@ -649,7 +649,7 @@ impl Lowerer {
         args: &[Expr],
         span: Span,
     ) -> Result<Value, CompileError> {
-        let Some(&cid) = self.syms.classes.get(class) else {
+        let Some(cid) = self.syms.builder.find_class(class) else {
             return Err(Self::err(span, format!("unknown class `{class}`")));
         };
         let label = format!("o{}@{}", self.obj_counter, span);
@@ -756,7 +756,7 @@ impl Lowerer {
         // Static call `C.m(args)`?
         if let Some(Expr::Name { name, .. }) = base {
             if cx.lookup(name).is_none() {
-                if let Some(&class) = self.syms.classes.get(name) {
+                if let Some(class) = self.syms.builder.find_class(name) {
                     let Some(sym) = self.syms.lookup_method(class, method).cloned() else {
                         return Err(Self::err(
                             span,

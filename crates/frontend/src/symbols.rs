@@ -39,10 +39,9 @@ pub(crate) struct MethodSym {
 #[derive(Debug)]
 pub(crate) struct Symbols {
     /// The PAG under construction (classes, globals and methods are
-    /// already declared in it).
+    /// already declared in it); classes resolve by name through
+    /// [`PagBuilder::find_class`].
     pub builder: PagBuilder,
-    /// Class name → id.
-    pub classes: HashMap<String, ClassId>,
     /// Instance fields declared *directly at* a class.
     pub fields: HashMap<(ClassId, String), Ty>,
     /// Static fields (globals), declared directly at a class.
@@ -60,8 +59,6 @@ impl Symbols {
     /// Runs the declaration pass over a parsed program.
     pub fn declare(program: &Program) -> Result<Symbols, CompileError> {
         let mut builder = PagBuilder::new();
-        let mut classes: HashMap<String, ClassId> = HashMap::new();
-        classes.insert("Object".to_owned(), builder.hierarchy().root());
 
         // Register classes topologically (supers first); detect unknown
         // supers and inheritance cycles.
@@ -71,16 +68,12 @@ impl Symbols {
             remaining.retain(|&ci| {
                 let c = &program.classes[ci];
                 let sup_name = c.superclass.as_deref().unwrap_or("Object");
-                match classes.get(sup_name) {
-                    Some(&sup) => {
-                        // Duplicate class names surface here as an error.
-                        match builder.add_class(&c.name, Some(sup)) {
-                            Ok(id) => {
-                                classes.insert(c.name.clone(), id);
-                                false
-                            }
-                            Err(_) => false, // reported below via re-check
-                        }
+                match builder.find_class(sup_name) {
+                    Some(sup) => {
+                        // Duplicate class names surface here as an error,
+                        // reported below via re-check.
+                        let _ = builder.add_class(&c.name, Some(sup));
+                        false
                     }
                     None => true,
                 }
@@ -113,20 +106,15 @@ impl Symbols {
             }
         }
 
-        let string_class = match classes.get("String") {
-            Some(&c) => c,
-            None => {
-                let id = builder
-                    .add_class("String", None)
-                    .expect("String cannot collide here");
-                classes.insert("String".to_owned(), id);
-                id
-            }
+        let string_class = match builder.find_class("String") {
+            Some(c) => c,
+            None => builder
+                .add_class("String", None)
+                .expect("String cannot collide here"),
         };
 
         let mut syms = Symbols {
             builder,
-            classes,
             fields: HashMap::new(),
             statics: HashMap::new(),
             methods: HashMap::new(),
@@ -135,7 +123,10 @@ impl Symbols {
         };
 
         for (ci, c) in program.classes.iter().enumerate() {
-            let cid = syms.classes[&c.name];
+            let cid = syms
+                .builder
+                .find_class(&c.name)
+                .expect("every program class is registered above");
             for f in &c.fields {
                 let ty = syms.resolve_ty(&f.ty)?;
                 if syms.fields.insert((cid, f.name.clone()), ty).is_some() {
@@ -213,8 +204,8 @@ impl Symbols {
         let elem: Ty = if t.name == "int" {
             None
         } else {
-            match self.classes.get(&t.name) {
-                Some(&c) => Some(c),
+            match self.builder.find_class(&t.name) {
+                Some(c) => Some(c),
                 None => {
                     return Err(CompileError::new(
                         t.span,
@@ -237,14 +228,13 @@ impl Symbols {
         span: Span,
     ) -> Result<ClassId, CompileError> {
         let name = format!("{elem_name}[]");
-        if let Some(&c) = self.classes.get(&name) {
+        if let Some(c) = self.builder.find_class(&name) {
             return Ok(c);
         }
         let id = self
             .builder
             .add_class(&name, None)
             .map_err(|e| CompileError::new(span, e.to_string()))?;
-        self.classes.insert(name, id);
         self.elem_of.insert(id, elem);
         Ok(id)
     }
@@ -297,11 +287,15 @@ mod tests {
         Symbols::declare(&parse(lex(src).unwrap()).unwrap()).unwrap()
     }
 
+    fn class(s: &Symbols, name: &str) -> ClassId {
+        s.builder.find_class(name).unwrap()
+    }
+
     #[test]
     fn registers_classes_in_any_order() {
         let s = declare("class B extends A {} class A {}");
-        let a = s.classes["A"];
-        let b = s.classes["B"];
+        let a = class(&s, "A");
+        let b = class(&s, "B");
         assert_eq!(s.builder.hierarchy().superclass(b), Some(a));
     }
 
@@ -315,21 +309,21 @@ mod tests {
     #[test]
     fn string_is_auto_registered() {
         let s = declare("class A {}");
-        assert!(s.classes.contains_key("String"));
+        assert!(s.builder.find_class("String").is_some());
     }
 
     #[test]
     fn fields_resolve_through_inheritance() {
         let s = declare("class A { Object f; } class B extends A {}");
-        let b = s.classes["B"];
-        assert_eq!(s.instance_field(b, "f"), Some(Some(s.classes["Object"])));
+        let b = class(&s, "B");
+        assert_eq!(s.instance_field(b, "f"), Some(Some(class(&s, "Object"))));
         assert_eq!(s.instance_field(b, "nope"), None);
     }
 
     #[test]
     fn statics_become_globals() {
         let s = declare("class A { static A shared; }");
-        let a = s.classes["A"];
+        let a = class(&s, "A");
         let (var, ty) = s.static_field(a, "shared").unwrap();
         assert_eq!(ty, Some(a));
         assert_eq!(s.builder.hierarchy().name(ty.unwrap()), "A");
@@ -339,32 +333,32 @@ mod tests {
     #[test]
     fn method_lookup_walks_up() {
         let s = declare("class A { void m() {} } class B extends A {}");
-        let b = s.classes["B"];
+        let b = class(&s, "B");
         let m = s.lookup_method(b, "m").unwrap();
-        assert_eq!(m.owner, s.classes["A"]);
+        assert_eq!(m.owner, class(&s, "A"));
         assert!(!m.is_static);
     }
 
     #[test]
     fn override_shadows_super() {
         let s = declare("class A { void m() {} } class B extends A { void m() {} }");
-        let b = s.classes["B"];
+        let b = class(&s, "B");
         assert_eq!(s.lookup_method(b, "m").unwrap().owner, b);
     }
 
     #[test]
     fn constructors_register_under_init() {
         let s = declare("class A { A() {} }");
-        let a = s.classes["A"];
+        let a = class(&s, "A");
         assert!(s.methods.contains_key(&(a, "<init>".to_owned())));
     }
 
     #[test]
     fn array_classes_registered_lazily() {
         let mut s = declare("class A { Object[] xs; }");
-        assert!(s.classes.contains_key("Object[]"));
-        let arr = s.classes["Object[]"];
-        assert_eq!(s.elem_of[&arr], Some(s.classes["Object"]));
+        assert!(s.builder.find_class("Object[]").is_some());
+        let arr = class(&s, "Object[]");
+        assert_eq!(s.elem_of[&arr], Some(class(&s, "Object")));
         // int[] as well:
         let t = TypeRef {
             name: "int".into(),

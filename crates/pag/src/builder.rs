@@ -150,18 +150,28 @@ fn next_id(len: usize, what: &'static str) -> Result<u32, BuildError> {
 pub struct PagBuilder {
     hierarchy: Hierarchy,
     fields: Vec<String>,
-    field_names: HashMap<String, FieldId>,
     methods: Vec<MethodInfo>,
-    method_names: HashMap<String, MethodId>,
     vars: Vec<VarInfo>,
-    var_names: HashMap<String, VarId>,
     objs: Vec<ObjInfo>,
-    obj_labels: HashMap<String, ObjId>,
     call_sites: Vec<CallSiteInfo>,
-    site_labels: HashMap<String, CallSiteId>,
+    names: Names,
     edges: Vec<(NodeRef, NodeRef, EdgeKind)>,
     edge_set: HashSet<(NodeRef, NodeRef, EdgeKind)>,
     obj_defined: Vec<bool>,
+}
+
+/// The name → id tables of every named entity but classes (the
+/// [`Hierarchy`] keeps its own). The builder fills them, rejecting
+/// duplicates, and [`PagBuilder::finish`] moves them into the frozen
+/// [`Pag`], so a graph resolves names through the tables it was built
+/// with.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Names {
+    pub(crate) fields: HashMap<String, FieldId>,
+    pub(crate) methods: HashMap<String, MethodId>,
+    pub(crate) vars: HashMap<String, VarId>,
+    pub(crate) objs: HashMap<String, ObjId>,
+    pub(crate) sites: HashMap<String, CallSiteId>,
 }
 
 impl PagBuilder {
@@ -170,15 +180,11 @@ impl PagBuilder {
         PagBuilder {
             hierarchy: Hierarchy::new(),
             fields: Vec::new(),
-            field_names: HashMap::new(),
             methods: Vec::new(),
-            method_names: HashMap::new(),
             vars: Vec::new(),
-            var_names: HashMap::new(),
             objs: Vec::new(),
-            obj_labels: HashMap::new(),
             call_sites: Vec::new(),
-            site_labels: HashMap::new(),
+            names: Names::default(),
             edges: Vec::new(),
             edge_set: HashSet::new(),
             obj_defined: Vec::new(),
@@ -216,13 +222,13 @@ impl PagBuilder {
     ///
     /// Panics when 2³² − 1 distinct fields are already interned.
     pub fn field(&mut self, name: &str) -> FieldId {
-        if let Some(&f) = self.field_names.get(name) {
+        if let Some(&f) = self.names.fields.get(name) {
             return f;
         }
         let id =
             FieldId::from_raw(next_id(self.fields.len(), "field").expect("field ids exhausted"));
         self.fields.push(name.to_owned());
-        self.field_names.insert(name.to_owned(), id);
+        self.names.fields.insert(name.to_owned(), id);
         id
     }
 
@@ -241,7 +247,7 @@ impl PagBuilder {
         name: &str,
         class: Option<ClassId>,
     ) -> Result<MethodId, BuildError> {
-        if self.method_names.contains_key(name) {
+        if self.names.methods.contains_key(name) {
             return Err(BuildError::DuplicateName {
                 kind: "method",
                 name: name.to_owned(),
@@ -252,7 +258,7 @@ impl PagBuilder {
             name: name.to_owned(),
             class,
         });
-        self.method_names.insert(name.to_owned(), id);
+        self.names.methods.insert(name.to_owned(), id);
         Ok(id)
     }
 
@@ -292,7 +298,7 @@ impl PagBuilder {
         kind: VarKind,
         declared_class: Option<ClassId>,
     ) -> Result<VarId, BuildError> {
-        if self.var_names.contains_key(name) {
+        if self.names.vars.contains_key(name) {
             return Err(BuildError::DuplicateName {
                 kind: "var",
                 name: name.to_owned(),
@@ -305,7 +311,7 @@ impl PagBuilder {
             kind,
             declared_class,
         });
-        self.var_names.insert(name.to_owned(), id);
+        self.names.vars.insert(name.to_owned(), id);
         Ok(id)
     }
 
@@ -344,7 +350,7 @@ impl PagBuilder {
         alloc_method: Option<MethodId>,
         is_null: bool,
     ) -> Result<ObjId, BuildError> {
-        if self.obj_labels.contains_key(label) {
+        if self.names.objs.contains_key(label) {
             return Err(BuildError::DuplicateName {
                 kind: "obj",
                 name: label.to_owned(),
@@ -363,7 +369,7 @@ impl PagBuilder {
             alloc_method,
             is_null,
         });
-        self.obj_labels.insert(label.to_owned(), id);
+        self.names.objs.insert(label.to_owned(), id);
         self.obj_defined.push(false);
         Ok(id)
     }
@@ -378,7 +384,7 @@ impl PagBuilder {
         label: &str,
         caller: MethodId,
     ) -> Result<CallSiteId, BuildError> {
-        if self.site_labels.contains_key(label) {
+        if self.names.sites.contains_key(label) {
             return Err(BuildError::DuplicateName {
                 kind: "callsite",
                 name: label.to_owned(),
@@ -393,7 +399,7 @@ impl PagBuilder {
             caller,
             recursive: false,
         });
-        self.site_labels.insert(label.to_owned(), id);
+        self.names.sites.insert(label.to_owned(), id);
         Ok(id)
     }
 
@@ -616,12 +622,22 @@ impl PagBuilder {
 
     /// Looks up a declared variable by name.
     pub fn find_var(&self, name: &str) -> Option<VarId> {
-        self.var_names.get(name).copied()
+        self.names.vars.get(name).copied()
     }
 
     /// Looks up a declared method by name.
     pub fn find_method(&self, name: &str) -> Option<MethodId> {
-        self.method_names.get(name).copied()
+        self.names.methods.get(name).copied()
+    }
+
+    /// Looks up a declared object by label.
+    pub fn find_obj(&self, label: &str) -> Option<ObjId> {
+        self.names.objs.get(label).copied()
+    }
+
+    /// Looks up a declared call site by label.
+    pub fn find_call_site(&self, label: &str) -> Option<CallSiteId> {
+        self.names.sites.get(label).copied()
     }
 
     /// The name a method was declared under.
@@ -664,6 +680,7 @@ impl PagBuilder {
             self.vars,
             self.objs,
             self.call_sites,
+            self.names,
             edges,
         )
     }

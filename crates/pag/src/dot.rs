@@ -41,12 +41,24 @@ pub fn to_dot(pag: &Pag) -> String {
         }
     };
 
-    // Method clusters.
+    // Method clusters: each method's locals, then its objects, in id order.
+    let mut locals = vec![Vec::new(); pag.num_methods()];
+    for (v, info) in pag.vars() {
+        if let Some(m) = info.kind.method() {
+            locals[m.index()].push(v);
+        }
+    }
+    let mut objs = vec![Vec::new(); pag.num_methods()];
+    for (o, info) in pag.objs() {
+        if let Some(m) = info.alloc_method {
+            objs[m.index()].push(o);
+        }
+    }
     for (m, info) in pag.methods() {
         let _ = writeln!(out, "  subgraph cluster_m{} {{", m.as_raw());
         let _ = writeln!(out, "    label=\"{}\";", info.name);
         out.push_str("    style=dotted;\n");
-        for &v in pag.locals_of(m) {
+        for &v in &locals[m.index()] {
             let n = pag.var_node(v);
             let _ = writeln!(
                 out,
@@ -55,7 +67,7 @@ pub fn to_dot(pag: &Pag) -> String {
                 pag.var(v).name
             );
         }
-        for &o in pag.objs_of(m) {
+        for &o in &objs[m.index()] {
             let n = pag.obj_node(o);
             let shape = if pag.obj(o).is_null { "diamond" } else { "box" };
             let _ = writeln!(

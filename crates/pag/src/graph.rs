@@ -1,8 +1,8 @@
 //! The frozen Pointer Assignment Graph.
 
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
+use crate::builder::Names;
 use crate::edge::{Adj, AdjClass, Edge, EdgeId, EdgeKind, FieldEdge};
 use crate::ids::{CallSiteId, FieldId, MethodId, ObjId, VarId};
 use crate::node::{CallSiteInfo, MethodInfo, NodeId, NodeRef, ObjInfo, VarInfo};
@@ -65,16 +65,8 @@ pub struct Pag {
     // not scan a formal's every caller.
     sites: SiteIndex,
 
-    // Grouping of locals / allocation sites per method.
-    method_locals: Vec<Vec<VarId>>,
-    method_objs: Vec<Vec<ObjId>>,
-
-    // Name lookup tables.
-    var_names: HashMap<String, VarId>,
-    method_names: HashMap<String, MethodId>,
-    field_names: HashMap<String, FieldId>,
-    obj_labels: HashMap<String, ObjId>,
-    site_labels: HashMap<String, CallSiteId>,
+    // The builder's name tables, moved in by `PagBuilder::finish`.
+    names: Names,
 
     // `fingerprint()`'s memo: filled on first use, never by `assemble`.
     fingerprint: OnceLock<u64>,
@@ -340,18 +332,6 @@ impl Pag {
         }
     }
 
-    /// Local variables of a method.
-    #[inline]
-    pub fn locals_of(&self, m: MethodId) -> &[VarId] {
-        &self.method_locals[m.index()]
-    }
-
-    /// Allocation sites inside a method.
-    #[inline]
-    pub fn objs_of(&self, m: MethodId) -> &[ObjId] {
-        &self.method_objs[m.index()]
-    }
-
     /// Iterates over all variables with their ids.
     pub fn vars(&self) -> impl Iterator<Item = (VarId, &VarInfo)> {
         self.vars
@@ -396,27 +376,27 @@ impl Pag {
 
     /// Looks up a variable by name.
     pub fn find_var(&self, name: &str) -> Option<VarId> {
-        self.var_names.get(name).copied()
+        self.names.vars.get(name).copied()
     }
 
     /// Looks up a method by name.
     pub fn find_method(&self, name: &str) -> Option<MethodId> {
-        self.method_names.get(name).copied()
+        self.names.methods.get(name).copied()
     }
 
     /// Looks up a field by name.
     pub fn find_field(&self, name: &str) -> Option<FieldId> {
-        self.field_names.get(name).copied()
+        self.names.fields.get(name).copied()
     }
 
     /// Looks up an object by label.
     pub fn find_obj(&self, label: &str) -> Option<ObjId> {
-        self.obj_labels.get(label).copied()
+        self.names.objs.get(label).copied()
     }
 
     /// Looks up a call site by label.
     pub fn find_call_site(&self, label: &str) -> Option<CallSiteId> {
-        self.site_labels.get(label).copied()
+        self.names.sites.get(label).copied()
     }
 
     /// Human-readable label of a node (variable name or object label).
@@ -470,6 +450,7 @@ impl Pag {
         vars: Vec<VarInfo>,
         objs: Vec<ObjInfo>,
         call_sites: Vec<CallSiteInfo>,
+        names: Names,
         edges: Vec<Edge>,
     ) -> Pag {
         let num_nodes = vars.len() + objs.len();
@@ -542,45 +523,6 @@ impl Pag {
 
         let sites = SiteIndex::build(&call_sites, &edges);
 
-        let mut method_locals = vec![Vec::new(); methods.len()];
-        for (i, v) in vars.iter().enumerate() {
-            if let Some(m) = v.kind.method() {
-                method_locals[m.index()].push(VarId::from_raw(i as u32));
-            }
-        }
-        let mut method_objs = vec![Vec::new(); methods.len()];
-        for (i, o) in objs.iter().enumerate() {
-            if let Some(m) = o.alloc_method {
-                method_objs[m.index()].push(ObjId::from_raw(i as u32));
-            }
-        }
-
-        let var_names = vars
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.name.clone(), VarId::from_raw(i as u32)))
-            .collect();
-        let method_names = methods
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.name.clone(), MethodId::from_raw(i as u32)))
-            .collect();
-        let field_names = fields
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.clone(), FieldId::from_raw(i as u32)))
-            .collect();
-        let obj_labels = objs
-            .iter()
-            .enumerate()
-            .map(|(i, o)| (o.label.clone(), ObjId::from_raw(i as u32)))
-            .collect();
-        let site_labels = call_sites
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.label.clone(), CallSiteId::from_raw(i as u32)))
-            .collect();
-
         Pag {
             hierarchy,
             fields,
@@ -596,13 +538,7 @@ impl Pag {
             stores_by_field,
             loads_by_field,
             sites,
-            method_locals,
-            method_objs,
-            var_names,
-            method_names,
-            field_names,
-            obj_labels,
-            site_labels,
+            names,
             fingerprint: OnceLock::new(),
         }
     }

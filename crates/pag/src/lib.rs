@@ -10,7 +10,11 @@
 //! `exit_i`), all oriented in the direction of value flow. The crate
 //! provides:
 //!
-//! * dense-id arenas and an invariant-checking [`PagBuilder`];
+//! * dense-id arenas and an invariant-checking [`PagBuilder`], which
+//!   owns name resolution: the [text parser](crate::text) and the
+//!   `dynsum-frontend` crate resolve names through its `find_*`
+//!   lookups, and [`PagBuilder::finish`] moves its name tables into the
+//!   frozen [`Pag`] rather than rebuilding them;
 //! * a sealed single-inheritance class [`Hierarchy`] with O(1) subtype
 //!   tests (used by the `SafeCast` client and call resolution);
 //! * precomputed bidirectional **kind-partitioned** adjacency plus the

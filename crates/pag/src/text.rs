@@ -27,13 +27,11 @@
 //! exit 22 ret_get t2
 //! ```
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use crate::builder::{BuildError, PagBuilder};
 use crate::edge::EdgeKind;
 use crate::graph::Pag;
-use crate::ids::{CallSiteId, ClassId, MethodId, ObjId, VarId};
 use crate::node::VarKind;
 
 /// Error produced while parsing the text format.
@@ -166,46 +164,10 @@ pub fn write_pag(pag: &Pag) -> String {
     out
 }
 
-/// Parser state: name environments built up from declarations.
-struct Env {
-    classes: HashMap<String, ClassId>,
-    methods: HashMap<String, MethodId>,
-    vars: HashMap<String, VarId>,
-    objs: HashMap<String, ObjId>,
-    sites: HashMap<String, CallSiteId>,
-}
-
-impl Env {
-    fn class(&self, name: &str, line: usize) -> Result<ClassId, ParseTextError> {
-        self.classes
-            .get(name)
-            .copied()
-            .ok_or_else(|| err(line, format!("unknown class `{name}`")))
-    }
-    fn method(&self, name: &str, line: usize) -> Result<MethodId, ParseTextError> {
-        self.methods
-            .get(name)
-            .copied()
-            .ok_or_else(|| err(line, format!("unknown method `{name}`")))
-    }
-    fn var(&self, name: &str, line: usize) -> Result<VarId, ParseTextError> {
-        self.vars
-            .get(name)
-            .copied()
-            .ok_or_else(|| err(line, format!("unknown variable `{name}`")))
-    }
-    fn obj(&self, name: &str, line: usize) -> Result<ObjId, ParseTextError> {
-        self.objs
-            .get(name)
-            .copied()
-            .ok_or_else(|| err(line, format!("unknown object `{name}`")))
-    }
-    fn site(&self, name: &str, line: usize) -> Result<CallSiteId, ParseTextError> {
-        self.sites
-            .get(name)
-            .copied()
-            .ok_or_else(|| err(line, format!("unknown call site `{name}`")))
-    }
+/// A name resolved by one of the builder's lookups, or the error for an
+/// unknown `kind` of name on `line`.
+fn known<T>(found: Option<T>, kind: &str, name: &str, line: usize) -> Result<T, ParseTextError> {
+    found.ok_or_else(|| err(line, format!("unknown {kind} `{name}`")))
 }
 
 /// Parses the text format into a frozen [`Pag`].
@@ -216,15 +178,6 @@ impl Env {
 /// errors, unknown names, or violated PAG invariants.
 pub fn parse_pag(input: &str) -> Result<Pag, ParseTextError> {
     let mut b = PagBuilder::new();
-    let mut env = Env {
-        classes: HashMap::new(),
-        methods: HashMap::new(),
-        vars: HashMap::new(),
-        objs: HashMap::new(),
-        sites: HashMap::new(),
-    };
-    env.classes
-        .insert("Object".to_owned(), ClassId::from_raw(0));
 
     let mut saw_header = false;
     for (idx, raw) in input.lines().enumerate() {
@@ -251,15 +204,12 @@ pub fn parse_pag(input: &str) -> Result<Pag, ParseTextError> {
         match toks[0] {
             "class" => match toks.as_slice() {
                 ["class", name] => {
-                    let id = b.add_class(name, None).map_err(|e| build_err(lineno, e))?;
-                    env.classes.insert((*name).to_owned(), id);
+                    b.add_class(name, None).map_err(|e| build_err(lineno, e))?;
                 }
                 ["class", name, "extends", sup] => {
-                    let sup = env.class(sup, lineno)?;
-                    let id = b
-                        .add_class(name, Some(sup))
+                    let sup = known(b.find_class(sup), "class", sup, lineno)?;
+                    b.add_class(name, Some(sup))
                         .map_err(|e| build_err(lineno, e))?;
-                    env.classes.insert((*name).to_owned(), id);
                 }
                 _ => return Err(err(lineno, "malformed class declaration")),
             },
@@ -272,35 +222,38 @@ pub fn parse_pag(input: &str) -> Result<Pag, ParseTextError> {
             "method" => {
                 let (name, class) = match toks.as_slice() {
                     ["method", name] => (*name, None),
-                    ["method", name, "class", c] => (*name, Some(env.class(c, lineno)?)),
+                    ["method", name, "class", c] => {
+                        (*name, Some(known(b.find_class(c), "class", c, lineno)?))
+                    }
                     _ => return Err(err(lineno, "malformed method declaration")),
                 };
-                let id = b
-                    .add_method(name, class)
+                b.add_method(name, class)
                     .map_err(|e| build_err(lineno, e))?;
-                env.methods.insert(name.to_owned(), id);
             }
             "global" => {
                 let (name, ty) = match toks.as_slice() {
                     ["global", name] => (*name, None),
-                    ["global", name, "type", t] => (*name, Some(env.class(t, lineno)?)),
+                    ["global", name, "type", t] => {
+                        (*name, Some(known(b.find_class(t), "class", t, lineno)?))
+                    }
                     _ => return Err(err(lineno, "malformed global declaration")),
                 };
-                let id = b.add_global(name, ty).map_err(|e| build_err(lineno, e))?;
-                env.vars.insert(name.to_owned(), id);
+                b.add_global(name, ty).map_err(|e| build_err(lineno, e))?;
             }
             "local" => {
                 let (name, method, ty) = match toks.as_slice() {
-                    ["local", name, "method", m] => (*name, env.method(m, lineno)?, None),
-                    ["local", name, "method", m, "type", t] => {
-                        (*name, env.method(m, lineno)?, Some(env.class(t, lineno)?))
+                    ["local", name, "method", m] => {
+                        (*name, known(b.find_method(m), "method", m, lineno)?, None)
                     }
+                    ["local", name, "method", m, "type", t] => (
+                        *name,
+                        known(b.find_method(m), "method", m, lineno)?,
+                        Some(known(b.find_class(t), "class", t, lineno)?),
+                    ),
                     _ => return Err(err(lineno, "malformed local declaration")),
                 };
-                let id = b
-                    .add_local(name, method, ty)
+                b.add_local(name, method, ty)
                     .map_err(|e| build_err(lineno, e))?;
-                env.vars.insert(name.to_owned(), id);
             }
             "obj" | "nullobj" => {
                 let is_null = toks[0] == "nullobj";
@@ -316,32 +269,33 @@ pub fn parse_pag(input: &str) -> Result<Pag, ParseTextError> {
                             let c = toks
                                 .get(i + 1)
                                 .ok_or_else(|| err(lineno, "missing class name"))?;
-                            class = Some(env.class(c, lineno)?);
+                            class = Some(known(b.find_class(c), "class", c, lineno)?);
                             i += 2;
                         }
                         "method" => {
                             let m = toks
                                 .get(i + 1)
                                 .ok_or_else(|| err(lineno, "missing method name"))?;
-                            method = Some(env.method(m, lineno)?);
+                            method = Some(known(b.find_method(m), "method", m, lineno)?);
                             i += 2;
                         }
                         other => return Err(err(lineno, format!("unexpected token `{other}`"))),
                     }
                 }
-                let id = if is_null {
+                if is_null {
                     b.add_null_obj(label, method)
                 } else {
                     b.add_obj(label, class, method)
                 }
                 .map_err(|e| build_err(lineno, e))?;
-                env.objs.insert(label.to_owned(), id);
             }
             "callsite" => {
                 let (label, method, recursive) = match toks.as_slice() {
-                    ["callsite", label, "method", m] => (*label, env.method(m, lineno)?, false),
+                    ["callsite", label, "method", m] => {
+                        (*label, known(b.find_method(m), "method", m, lineno)?, false)
+                    }
                     ["callsite", label, "method", m, "recursive"] => {
-                        (*label, env.method(m, lineno)?, true)
+                        (*label, known(b.find_method(m), "method", m, lineno)?, true)
                     }
                     _ => return Err(err(lineno, "malformed callsite declaration")),
                 };
@@ -352,20 +306,19 @@ pub fn parse_pag(input: &str) -> Result<Pag, ParseTextError> {
                     b.set_recursive(id, true)
                         .map_err(|e| build_err(lineno, e))?;
                 }
-                env.sites.insert(label.to_owned(), id);
             }
             "new" => match toks.as_slice() {
                 ["new", obj, var] => {
-                    let o = env.obj(obj, lineno)?;
-                    let v = env.var(var, lineno)?;
+                    let o = known(b.find_obj(obj), "object", obj, lineno)?;
+                    let v = known(b.find_var(var), "variable", var, lineno)?;
                     b.add_new(o, v).map_err(|e| build_err(lineno, e))?;
                 }
                 _ => return Err(err(lineno, "malformed new edge")),
             },
             "assign" | "assignglobal" => match toks.as_slice() {
                 [_, src, dst] => {
-                    let s = env.var(src, lineno)?;
-                    let d = env.var(dst, lineno)?;
+                    let s = known(b.find_var(src), "variable", src, lineno)?;
+                    let d = known(b.find_var(dst), "variable", dst, lineno)?;
                     b.add_assign(s, d).map_err(|e| build_err(lineno, e))?;
                 }
                 _ => return Err(err(lineno, "malformed assign edge")),
@@ -373,8 +326,8 @@ pub fn parse_pag(input: &str) -> Result<Pag, ParseTextError> {
             "load" => match toks.as_slice() {
                 ["load", field, base, dst] => {
                     let f = b.field(field);
-                    let base = env.var(base, lineno)?;
-                    let dst = env.var(dst, lineno)?;
+                    let base = known(b.find_var(base), "variable", base, lineno)?;
+                    let dst = known(b.find_var(dst), "variable", dst, lineno)?;
                     b.add_load(f, base, dst).map_err(|e| build_err(lineno, e))?;
                 }
                 _ => return Err(err(lineno, "malformed load edge")),
@@ -382,8 +335,8 @@ pub fn parse_pag(input: &str) -> Result<Pag, ParseTextError> {
             "store" => match toks.as_slice() {
                 ["store", field, src, base] => {
                     let f = b.field(field);
-                    let src = env.var(src, lineno)?;
-                    let base = env.var(base, lineno)?;
+                    let src = known(b.find_var(src), "variable", src, lineno)?;
+                    let base = known(b.find_var(base), "variable", base, lineno)?;
                     b.add_store(f, src, base)
                         .map_err(|e| build_err(lineno, e))?;
                 }
@@ -391,18 +344,18 @@ pub fn parse_pag(input: &str) -> Result<Pag, ParseTextError> {
             },
             "entry" => match toks.as_slice() {
                 ["entry", site, actual, formal] => {
-                    let s = env.site(site, lineno)?;
-                    let a = env.var(actual, lineno)?;
-                    let p = env.var(formal, lineno)?;
+                    let s = known(b.find_call_site(site), "call site", site, lineno)?;
+                    let a = known(b.find_var(actual), "variable", actual, lineno)?;
+                    let p = known(b.find_var(formal), "variable", formal, lineno)?;
                     b.add_entry(s, a, p).map_err(|e| build_err(lineno, e))?;
                 }
                 _ => return Err(err(lineno, "malformed entry edge")),
             },
             "exit" => match toks.as_slice() {
                 ["exit", site, ret, dst] => {
-                    let s = env.site(site, lineno)?;
-                    let r = env.var(ret, lineno)?;
-                    let d = env.var(dst, lineno)?;
+                    let s = known(b.find_call_site(site), "call site", site, lineno)?;
+                    let r = known(b.find_var(ret), "variable", ret, lineno)?;
+                    let d = known(b.find_var(dst), "variable", dst, lineno)?;
                     b.add_exit(s, r, d).map_err(|e| build_err(lineno, e))?;
                 }
                 _ => return Err(err(lineno, "malformed exit edge")),
@@ -487,9 +440,51 @@ exit 7 t v
 
     #[test]
     fn rejects_unknown_names_with_line_numbers() {
-        let e = parse_pag("pag v1\nnew o1 v\n").unwrap_err();
-        assert_eq!(e.line, 2);
-        assert!(e.message.contains("unknown object"));
+        let cases = [
+            ("pag v1\nclass B extends A\n", 2, "unknown class `A`"),
+            ("pag v1\nlocal x method m\n", 2, "unknown method `m`"),
+            (
+                "pag v1\nmethod m\nlocal a method m\nassign a b\n",
+                4,
+                "unknown variable `b`",
+            ),
+            ("pag v1\nnew o1 v\n", 2, "unknown object `o1`"),
+            (
+                "pag v1\nmethod m\nlocal a method m\nexit 9 a a\n",
+                4,
+                "unknown call site `9`",
+            ),
+        ];
+        for (text, line, message) in cases {
+            let e = parse_pag(text).unwrap_err();
+            assert_eq!((e.line, e.message.as_str()), (line, message), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn many_classes_parse_within_seconds() {
+        // Class names resolve through a map. A duplicate check that
+        // scanned every earlier class made this input take over a
+        // minute in a debug build.
+        const N: usize = 100_000;
+        let mut text = String::from("pag v1\nmethod m\n");
+        for i in 0..N {
+            let _ = writeln!(text, "class C{i}");
+        }
+        for i in (0..N).step_by(N / 8) {
+            let _ = writeln!(text, "local v{i} method m type C{i}");
+        }
+        let start = std::time::Instant::now();
+        let pag = parse_pag(&text).unwrap();
+        let took = start.elapsed();
+        assert!(took.as_secs() < 10, "{N} classes took {took:?}");
+        assert_eq!(pag.hierarchy().len(), N + 1);
+        let last = (N - N / 8).to_string();
+        let v = pag.find_var(&format!("v{last}")).unwrap();
+        assert_eq!(
+            pag.var(v).declared_class,
+            pag.hierarchy().find(&format!("C{last}"))
+        );
     }
 
     #[test]

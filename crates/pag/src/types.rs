@@ -5,6 +5,8 @@
 //! that is a subtype of `T`. Virtual-call resolution (CHA and on-the-fly)
 //! also consults the hierarchy.
 
+use std::collections::HashMap;
+
 use crate::ids::ClassId;
 
 /// Metadata for one class.
@@ -40,6 +42,9 @@ pub struct ClassInfo {
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
     classes: Vec<ClassInfo>,
+    /// Name → id, so [`find`](Self::find) and the duplicate check in
+    /// [`add_class`](Self::add_class) do not scan `classes`.
+    names: HashMap<String, ClassId>,
     /// Children adjacency, used for the interval encoding and CHA cones.
     children: Vec<Vec<ClassId>>,
     /// `intervals[c] = (pre, post)`: `a <: b` iff `b.pre <= a.pre < b.post`.
@@ -85,6 +90,7 @@ impl Hierarchy {
                 name: Self::ROOT_NAME.to_owned(),
                 superclass: None,
             }],
+            names: HashMap::from([(Self::ROOT_NAME.to_owned(), ClassId::from_raw(0))]),
             children: vec![Vec::new()],
             intervals: Vec::new(),
             sealed: false,
@@ -123,7 +129,7 @@ impl Hierarchy {
         if self.sealed {
             return Err(HierarchyError::Sealed);
         }
-        if self.find(name).is_some() {
+        if self.names.contains_key(name) {
             return Err(HierarchyError::DuplicateClass(name.to_owned()));
         }
         let superclass = superclass.unwrap_or_else(|| self.root());
@@ -131,6 +137,7 @@ impl Hierarchy {
             return Err(HierarchyError::UnknownSuperclass(superclass));
         }
         let id = ClassId::from_raw(self.classes.len() as u32);
+        self.names.insert(name.to_owned(), id);
         self.classes.push(ClassInfo {
             name: name.to_owned(),
             superclass: Some(superclass),
@@ -142,10 +149,7 @@ impl Hierarchy {
 
     /// Looks a class up by name.
     pub fn find(&self, name: &str) -> Option<ClassId> {
-        self.classes
-            .iter()
-            .position(|c| c.name == name)
-            .map(|i| ClassId::from_raw(i as u32))
+        self.names.get(name).copied()
     }
 
     /// Metadata for `class`.

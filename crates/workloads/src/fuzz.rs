@@ -550,13 +550,10 @@ pub fn observe(w: &Workload, config: &EngineConfig, opts: &ObserveOptions) -> Ob
 /// Derives the deterministic [`FaultPlan`] for a fuzz case: per-query
 /// rolls from the case's seed pick injected panics and cancel/deadline
 /// fuses (roughly a quarter of the queries each, the rest run clean); a
-/// spawn failure on the first chunk and a snapshot IO fault are always
-/// injected. Public so reproducers replay the exact plan.
+/// spawn failure on the first chunk is always injected. Public so
+/// reproducers replay the exact plan.
 pub fn fault_plan_for(seed: u64, queries: usize) -> FaultPlan {
-    let mut plan = FaultPlan {
-        snapshot_io_after: Some(0),
-        ..FaultPlan::default()
-    };
+    let mut plan = FaultPlan::default();
     plan.fail_spawns.insert(0);
     for i in 0..queries {
         let roll = case_seed(seed ^ 0xFA17_FA17_FA17_FA17, i);
@@ -576,20 +573,13 @@ pub fn fault_plan_for(seed: u64, queries: usize) -> FaultPlan {
     plan
 }
 
-/// A `Write` sink that fails deterministically after a fixed number of
-/// calls — the snapshot-IO half of the fault plan.
-struct FailingWriter {
-    calls: u64,
-    fail_after: u64,
-}
+/// A `Write` sink whose every write fails: the snapshot IO fault each
+/// fault-regime case injects into a save.
+struct FailingWriter;
 
 impl std::io::Write for FailingWriter {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        if self.calls >= self.fail_after {
-            return Err(std::io::Error::other("injected IO fault"));
-        }
-        self.calls += 1;
-        Ok(buf.len())
+    fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
+        Err(std::io::Error::other("injected IO fault"))
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
@@ -627,17 +617,7 @@ fn observe_faults(
     let faulted_tags = faulted.iter().map(|r| r.outcome.tag()).collect();
     let faulted_fingerprints = faulted.iter().map(QueryResult::fingerprint).collect();
 
-    let snapshot_error_surfaced = match plan.snapshot_io_after {
-        Some(fail_after) => {
-            let mut sink = FailingWriter {
-                calls: 0,
-                fail_after,
-            };
-            session.save_snapshot(&mut sink).is_err()
-        }
-        // No snapshot fault injected: vacuously surfaced.
-        None => true,
-    };
+    let snapshot_error_surfaced = session.save_snapshot(&mut FailingWriter).is_err();
 
     let after = opts
         .thread_counts

@@ -306,10 +306,29 @@ mod tests {
         args.iter().map(|s| (*s).to_owned()).collect()
     }
 
-    fn write_temp(name: &str, content: &str) -> String {
-        let path = std::env::temp_dir().join(format!("dynsum-cli-test-{name}"));
+    /// A test input file, named per process so that test runs of two
+    /// checkouts at once do not overwrite each other's inputs, and
+    /// removed when the test ends. Derefs to its path.
+    struct TempFile(String);
+
+    impl std::ops::Deref for TempFile {
+        type Target = str;
+        fn deref(&self) -> &str {
+            &self.0
+        }
+    }
+
+    impl Drop for TempFile {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
+    fn write_temp(name: &str, content: &str) -> TempFile {
+        let file = format!("dynsum-cli-test-{}-{name}", std::process::id());
+        let path = std::env::temp_dir().join(file);
         std::fs::write(&path, content).unwrap();
-        path.to_string_lossy().into_owned()
+        TempFile(path.to_string_lossy().into_owned())
     }
 
     const PROGRAM: &str = "
