@@ -106,5 +106,9 @@ model-check:
 loc:
 	./tools/loc.sh
 
+# `cargo clean` reaches neither the benchmark's own workspace
+# (dynbench/target) nor its prepared-input cache (dynbench/out), which
+# keeps one directory per dynbench build.
 clean:
 	$(CARGO) clean
+	rm -rf dynbench/target dynbench/out

@@ -70,7 +70,7 @@ pub fn table1() -> Table1Output {
     let label = |pts: &dynsum_cfl::PointsToSet| -> Vec<String> {
         pts.objects()
             .into_iter()
-            .map(|o| motivating.pag.obj(o).label.clone())
+            .map(|o| motivating.pag.obj_label(o).to_owned())
             .collect()
     };
     Table1Output {

@@ -63,7 +63,7 @@ impl TraceStep {
         let ctx: Vec<String> = self
             .ctx
             .iter()
-            .map(|&c| pag.call_site(c).label.clone())
+            .map(|&c| pag.site_label(c).to_owned())
             .collect();
         format!(
             "{:<16} [{}] {} [{}] {}",

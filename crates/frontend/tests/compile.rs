@@ -116,14 +116,14 @@ fn factory_candidates_recorded() {
     .unwrap();
     assert_eq!(c.info.factories.len(), 1);
     let f = &c.info.factories[0];
-    assert_eq!(c.pag.method(f.method).name, "F.make");
+    assert_eq!(c.pag.method_name(f.method), "F.make");
 }
 
 #[test]
 fn entry_point_detected() {
     let c = compile("class Main { static void main() { } }").unwrap();
     let entry = c.info.entry.expect("main found");
-    assert_eq!(c.pag.method(entry).name, "Main.main");
+    assert_eq!(c.pag.method_name(entry), "Main.main");
 }
 
 #[test]

@@ -197,7 +197,7 @@ proptest! {
         // Demand answers ⊆ Andersen on every local.
         let oracle = Andersen::analyze(&compiled.pag);
         let mut engine = Session::new(&compiled.pag, EngineKind::DynSum);
-        for (v, info) in compiled.pag.vars() {
+        for (v, _) in compiled.pag.vars() {
             let r = engine.points_to(v);
             if !r.resolved {
                 continue;
@@ -207,7 +207,7 @@ proptest! {
             prop_assert!(
                 r.pts.objects().is_subset(&oracle_set),
                 "{} exceeded oracle in:\n{}",
-                info.name,
+                compiled.pag.var_name(v),
                 src
             );
         }

@@ -1,10 +1,12 @@
 //! Incremental construction of a [`Pag`] with invariant checking.
 
-use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasher;
 
 use crate::edge::{Edge, EdgeKind};
 use crate::graph::Pag;
+use crate::hash::edge_kind_tag;
 use crate::ids::{CallSiteId, ClassId, FieldId, MethodId, ObjId, VarId};
+use crate::names::{Names, Ns, SlotTable, Vacant};
 use crate::node::{CallSiteInfo, MethodInfo, NodeRef, ObjInfo, VarInfo, VarKind};
 use crate::types::{Hierarchy, HierarchyError};
 
@@ -149,29 +151,27 @@ fn next_id(len: usize, what: &'static str) -> Result<u32, BuildError> {
 #[derive(Debug, Clone)]
 pub struct PagBuilder {
     hierarchy: Hierarchy,
-    fields: Vec<String>,
     methods: Vec<MethodInfo>,
     vars: Vec<VarInfo>,
     objs: Vec<ObjInfo>,
     call_sites: Vec<CallSiteInfo>,
     names: Names,
+    // Distinct edges in first-occurrence order, and the table that finds
+    // one by its packed key (`edge_key`), so a repeat is dropped.
     edges: Vec<(NodeRef, NodeRef, EdgeKind)>,
-    edge_set: HashSet<(NodeRef, NodeRef, EdgeKind)>,
+    edge_slots: SlotTable,
     obj_defined: Vec<bool>,
 }
 
-/// The name → id tables of every named entity but classes (the
-/// [`Hierarchy`] keeps its own). The builder fills them, rejecting
-/// duplicates, and [`PagBuilder::finish`] moves them into the frozen
-/// [`Pag`], so a graph resolves names through the tables it was built
-/// with.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Names {
-    pub(crate) fields: HashMap<String, FieldId>,
-    pub(crate) methods: HashMap<String, MethodId>,
-    pub(crate) vars: HashMap<String, VarId>,
-    pub(crate) objs: HashMap<String, ObjId>,
-    pub(crate) sites: HashMap<String, CallSiteId>,
+/// An edge packed into one `u128` (33 bits per endpoint, then the kind's
+/// tag and operand), the key the builder's edge table hashes.
+fn edge_key(&(src, dst, kind): &(NodeRef, NodeRef, EdgeKind)) -> u128 {
+    let node = |r: NodeRef| match r {
+        NodeRef::Var(v) => u128::from(v.as_raw()),
+        NodeRef::Obj(o) => 1 << 32 | u128::from(o.as_raw()),
+    };
+    let (tag, operand) = edge_kind_tag(kind);
+    node(src) | node(dst) << 33 | u128::from(tag) << 66 | u128::from(operand) << 69
 }
 
 impl PagBuilder {
@@ -179,14 +179,13 @@ impl PagBuilder {
     pub fn new() -> Self {
         PagBuilder {
             hierarchy: Hierarchy::new(),
-            fields: Vec::new(),
             methods: Vec::new(),
             vars: Vec::new(),
             objs: Vec::new(),
             call_sites: Vec::new(),
             names: Names::default(),
             edges: Vec::new(),
-            edge_set: HashSet::new(),
+            edge_slots: SlotTable::default(),
             obj_defined: Vec::new(),
         }
     }
@@ -220,16 +219,19 @@ impl PagBuilder {
     ///
     /// # Panics
     ///
-    /// Panics when 2³² − 1 distinct fields are already interned.
+    /// Panics when 2³² − 1 distinct fields are already interned, or the
+    /// name arena would pass 2³² − 1 bytes.
     pub fn field(&mut self, name: &str) -> FieldId {
-        if let Some(&f) = self.names.fields.get(name) {
-            return f;
-        }
-        let id =
-            FieldId::from_raw(next_id(self.fields.len(), "field").expect("field ids exhausted"));
-        self.fields.push(name.to_owned());
-        self.names.fields.insert(name.to_owned(), id);
-        id
+        let at = match self.names.lookup(Ns::Field, name) {
+            Ok(f) => return FieldId::from_raw(f),
+            Err(at) => at,
+        };
+        next_id(self.names.len(Ns::Field), "field").expect("field ids exhausted");
+        let id = self
+            .names
+            .add(Ns::Field, name, at)
+            .expect("name arena exhausted");
+        FieldId::from_raw(id)
     }
 
     /// The distinguished array-element field `arr` (§2).
@@ -247,18 +249,10 @@ impl PagBuilder {
         name: &str,
         class: Option<ClassId>,
     ) -> Result<MethodId, BuildError> {
-        if self.names.methods.contains_key(name) {
-            return Err(BuildError::DuplicateName {
-                kind: "method",
-                name: name.to_owned(),
-            });
-        }
-        let id = MethodId::from_raw(next_id(self.methods.len(), "method")?);
-        self.methods.push(MethodInfo {
-            name: name.to_owned(),
-            class,
-        });
-        self.names.methods.insert(name.to_owned(), id);
+        let at = self.vacancy(Ns::Method, "method", name)?;
+        next_id(self.methods.len(), "method")?;
+        let id = MethodId::from_raw(self.names.add(Ns::Method, name, at)?);
+        self.methods.push(MethodInfo { class });
         Ok(id)
     }
 
@@ -298,20 +292,14 @@ impl PagBuilder {
         kind: VarKind,
         declared_class: Option<ClassId>,
     ) -> Result<VarId, BuildError> {
-        if self.names.vars.contains_key(name) {
-            return Err(BuildError::DuplicateName {
-                kind: "var",
-                name: name.to_owned(),
-            });
-        }
+        let at = self.vacancy(Ns::Var, "var", name)?;
         next_id(self.vars.len() + self.objs.len(), "node")?;
-        let id = VarId::from_raw(next_id(self.vars.len(), "variable")?);
+        next_id(self.vars.len(), "variable")?;
+        let id = VarId::from_raw(self.names.add(Ns::Var, name, at)?);
         self.vars.push(VarInfo {
-            name: name.to_owned(),
             kind,
             declared_class,
         });
-        self.names.vars.insert(name.to_owned(), id);
         Ok(id)
     }
 
@@ -350,26 +338,20 @@ impl PagBuilder {
         alloc_method: Option<MethodId>,
         is_null: bool,
     ) -> Result<ObjId, BuildError> {
-        if self.names.objs.contains_key(label) {
-            return Err(BuildError::DuplicateName {
-                kind: "obj",
-                name: label.to_owned(),
-            });
-        }
+        let at = self.vacancy(Ns::Obj, "obj", label)?;
         if let Some(m) = alloc_method {
             if m.index() >= self.methods.len() {
                 return Err(BuildError::UnknownId(format!("{m}")));
             }
         }
         next_id(self.vars.len() + self.objs.len(), "node")?;
-        let id = ObjId::from_raw(next_id(self.objs.len(), "object")?);
+        next_id(self.objs.len(), "object")?;
+        let id = ObjId::from_raw(self.names.add(Ns::Obj, label, at)?);
         self.objs.push(ObjInfo {
-            label: label.to_owned(),
             class,
             alloc_method,
             is_null,
         });
-        self.names.objs.insert(label.to_owned(), id);
         self.obj_defined.push(false);
         Ok(id)
     }
@@ -384,23 +366,29 @@ impl PagBuilder {
         label: &str,
         caller: MethodId,
     ) -> Result<CallSiteId, BuildError> {
-        if self.names.sites.contains_key(label) {
-            return Err(BuildError::DuplicateName {
-                kind: "callsite",
-                name: label.to_owned(),
-            });
-        }
+        let at = self.vacancy(Ns::Site, "callsite", label)?;
         if caller.index() >= self.methods.len() {
             return Err(BuildError::UnknownId(format!("{caller}")));
         }
-        let id = CallSiteId::from_raw(next_id(self.call_sites.len(), "call site")?);
+        next_id(self.call_sites.len(), "call site")?;
+        let id = CallSiteId::from_raw(self.names.add(Ns::Site, label, at)?);
         self.call_sites.push(CallSiteInfo {
-            label: label.to_owned(),
             caller,
             recursive: false,
         });
-        self.names.sites.insert(label.to_owned(), id);
         Ok(id)
+    }
+
+    /// Where `name` goes in `ns`, or the `DuplicateName` error of a
+    /// `kind` name that is already declared.
+    fn vacancy(&self, ns: Ns, kind: &'static str, name: &str) -> Result<Vacant, BuildError> {
+        match self.names.lookup(ns, name) {
+            Ok(_) => Err(BuildError::DuplicateName {
+                kind,
+                name: name.to_owned(),
+            }),
+            Err(at) => Ok(at),
+        }
     }
 
     /// Marks a call site as recursive (inside a call-graph cycle); its
@@ -419,10 +407,23 @@ impl PagBuilder {
 
     // ---- edges --------------------------------------------------------------
 
-    fn check_var(&self, v: VarId) -> Result<&VarInfo, BuildError> {
+    fn check_var(&self, v: VarId) -> Result<VarInfo, BuildError> {
         self.vars
             .get(v.index())
+            .copied()
             .ok_or_else(|| BuildError::UnknownId(format!("{v}")))
+    }
+
+    fn check_site(&self, s: CallSiteId) -> Result<CallSiteInfo, BuildError> {
+        self.call_sites
+            .get(s.index())
+            .copied()
+            .ok_or_else(|| BuildError::UnknownId(format!("{s}")))
+    }
+
+    /// A declared variable's name, owned for an error.
+    fn var_name(&self, v: VarId) -> String {
+        self.names.get(Ns::Var, v.as_raw()).to_owned()
     }
 
     fn check_local_pair(
@@ -438,30 +439,45 @@ impl PagBuilder {
             .method()
             .ok_or_else(|| BuildError::GlobalInLocalEdge {
                 kind,
-                var: ia.name.clone(),
+                var: self.var_name(a),
             })?;
         let mb = ib
             .kind
             .method()
             .ok_or_else(|| BuildError::GlobalInLocalEdge {
                 kind,
-                var: ib.name.clone(),
+                var: self.var_name(b),
             })?;
         if ma != mb {
             return Err(BuildError::CrossMethodLocal {
                 kind,
-                src: ia.name.clone(),
-                dst: ib.name.clone(),
+                src: self.var_name(a),
+                dst: self.var_name(b),
             });
         }
         Ok(ma)
     }
 
     fn push_edge(&mut self, src: NodeRef, dst: NodeRef, kind: EdgeKind) -> Result<(), BuildError> {
-        next_id(self.edges.len(), "edge")?;
-        if self.edge_set.insert((src, dst, kind)) {
-            self.edges.push((src, dst, kind));
-        }
+        let edge = (src, dst, kind);
+        let Self {
+            names,
+            edges,
+            edge_slots,
+            ..
+        } = self;
+        let hasher = names.hasher();
+        let at = match edge_slots.probe(hasher.hash_one(edge_key(&edge)), |id| {
+            edges[id as usize] == edge
+        }) {
+            Ok(_) => return Ok(()),
+            Err(at) => at,
+        };
+        let id = next_id(edges.len(), "edge")?;
+        edges.push(edge);
+        edge_slots.insert(at, id, |old| {
+            hasher.hash_one(edge_key(&edges[old as usize]))
+        });
         Ok(())
     }
 
@@ -479,23 +495,24 @@ impl PagBuilder {
             .objs
             .get(obj.index())
             .ok_or_else(|| BuildError::UnknownId(format!("{obj}")))?;
+        let label = || self.names.get(Ns::Obj, obj.as_raw()).to_owned();
         let vm = vi
             .kind
             .method()
             .ok_or_else(|| BuildError::GlobalInLocalEdge {
                 kind: "new",
-                var: vi.name.clone(),
+                var: self.var_name(var),
             })?;
         if let Some(om) = oi.alloc_method {
             if om != vm {
                 return Err(BuildError::NewAcrossMethods {
-                    obj: oi.label.clone(),
-                    var: vi.name.clone(),
+                    obj: label(),
+                    var: self.var_name(var),
                 });
             }
         }
         if self.obj_defined[obj.index()] {
-            return Err(BuildError::ObjectRedefined(oi.label.clone()));
+            return Err(BuildError::ObjectRedefined(label()));
         }
         self.push_edge(NodeRef::Obj(obj), NodeRef::Var(var), EdgeKind::New)?;
         self.obj_defined[obj.index()] = true;
@@ -518,8 +535,8 @@ impl PagBuilder {
             (Some(_), Some(_)) => {
                 return Err(BuildError::CrossMethodLocal {
                     kind: "assign",
-                    src: si.name.clone(),
-                    dst: di.name.clone(),
+                    src: self.var_name(src),
+                    dst: self.var_name(dst),
                 })
             }
             _ => EdgeKind::AssignGlobal,
@@ -563,23 +580,19 @@ impl PagBuilder {
         actual: VarId,
         formal: VarId,
     ) -> Result<(), BuildError> {
-        let si = self
-            .call_sites
-            .get(site.index())
-            .ok_or_else(|| BuildError::UnknownId(format!("{site}")))?
-            .clone();
+        let si = self.check_site(site)?;
         let ai = self.check_var(actual)?;
         if ai.kind.method() != Some(si.caller) {
             return Err(BuildError::WrongCaller {
-                site: si.label.clone(),
-                var: ai.name.clone(),
+                site: self.names.get(Ns::Site, site.as_raw()).to_owned(),
+                var: self.var_name(actual),
             });
         }
         let fi = self.check_var(formal)?;
         if fi.kind.is_global() {
             return Err(BuildError::GlobalInLocalEdge {
                 kind: "entry",
-                var: fi.name.clone(),
+                var: self.var_name(formal),
             });
         }
         self.push_edge(
@@ -596,23 +609,19 @@ impl PagBuilder {
     /// Fails if `dst` is not a local of the site's calling method or
     /// `ret` is not a local.
     pub fn add_exit(&mut self, site: CallSiteId, ret: VarId, dst: VarId) -> Result<(), BuildError> {
-        let si = self
-            .call_sites
-            .get(site.index())
-            .ok_or_else(|| BuildError::UnknownId(format!("{site}")))?
-            .clone();
+        let si = self.check_site(site)?;
         let di = self.check_var(dst)?;
         if di.kind.method() != Some(si.caller) {
             return Err(BuildError::WrongCaller {
-                site: si.label.clone(),
-                var: di.name.clone(),
+                site: self.names.get(Ns::Site, site.as_raw()).to_owned(),
+                var: self.var_name(dst),
             });
         }
         let ri = self.check_var(ret)?;
         if ri.kind.is_global() {
             return Err(BuildError::GlobalInLocalEdge {
                 kind: "exit",
-                var: ri.name.clone(),
+                var: self.var_name(ret),
             });
         }
         self.push_edge(NodeRef::Var(ret), NodeRef::Var(dst), EdgeKind::Exit(site))
@@ -622,27 +631,27 @@ impl PagBuilder {
 
     /// Looks up a declared variable by name.
     pub fn find_var(&self, name: &str) -> Option<VarId> {
-        self.names.vars.get(name).copied()
+        self.names.find(Ns::Var, name).map(VarId::from_raw)
     }
 
     /// Looks up a declared method by name.
     pub fn find_method(&self, name: &str) -> Option<MethodId> {
-        self.names.methods.get(name).copied()
+        self.names.find(Ns::Method, name).map(MethodId::from_raw)
     }
 
     /// Looks up a declared object by label.
     pub fn find_obj(&self, label: &str) -> Option<ObjId> {
-        self.names.objs.get(label).copied()
+        self.names.find(Ns::Obj, label).map(ObjId::from_raw)
     }
 
     /// Looks up a declared call site by label.
     pub fn find_call_site(&self, label: &str) -> Option<CallSiteId> {
-        self.names.sites.get(label).copied()
+        self.names.find(Ns::Site, label).map(CallSiteId::from_raw)
     }
 
     /// The name a method was declared under.
     pub fn method_name(&self, method: MethodId) -> Option<&str> {
-        self.methods.get(method.index()).map(|m| m.name.as_str())
+        (method.index() < self.methods.len()).then(|| self.names.get(Ns::Method, method.as_raw()))
     }
 
     // ---- finish --------------------------------------------------------------
@@ -654,18 +663,36 @@ impl PagBuilder {
 
     /// Freezes the builder into an immutable [`Pag`], sealing the class
     /// hierarchy and computing all adjacency indices.
-    pub fn finish(mut self) -> Pag {
-        self.hierarchy.seal();
+    pub fn finish(self) -> Pag {
+        let PagBuilder {
+            mut hierarchy,
+            mut methods,
+            mut vars,
+            mut objs,
+            mut call_sites,
+            mut names,
+            edges: pending,
+            edge_slots,
+            obj_defined,
+        } = self;
+        drop((edge_slots, obj_defined));
+        hierarchy.seal();
+        // The frozen graph keeps these for its lifetime: drop their
+        // growth slack.
+        names.shrink_to_fit();
+        methods.shrink_to_fit();
+        vars.shrink_to_fit();
+        objs.shrink_to_fit();
+        call_sites.shrink_to_fit();
         // `add_var`/`add_obj` keep `vars + objs` below `u32::MAX`.
-        let num_vars = u32::try_from(self.vars.len()).expect("node ids fit u32");
+        let num_vars = u32::try_from(vars.len()).expect("node ids fit u32");
         let to_node = |r: NodeRef| match r {
             NodeRef::Var(v) => crate::node::NodeId(v.as_raw()),
             NodeRef::Obj(o) => {
                 crate::node::NodeId(num_vars.checked_add(o.as_raw()).expect("node ids fit u32"))
             }
         };
-        let edges: Vec<Edge> = self
-            .edges
+        let edges: Vec<Edge> = pending
             .iter()
             .map(|&(s, d, kind)| Edge {
                 src: to_node(s),
@@ -673,16 +700,10 @@ impl PagBuilder {
                 kind,
             })
             .collect();
-        Pag::assemble(
-            self.hierarchy,
-            self.fields,
-            self.methods,
-            self.vars,
-            self.objs,
-            self.call_sites,
-            self.names,
-            edges,
-        )
+        // The CSR arrays `assemble` builds never coexist with the
+        // builder's wider edge tuples.
+        drop(pending);
+        Pag::assemble(hierarchy, methods, vars, objs, call_sites, names, edges)
     }
 }
 
@@ -694,6 +715,10 @@ impl Default for PagBuilder {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeSet, HashMap};
+
+    use proptest::prelude::*;
+
     use super::*;
     use crate::node::NodeRef;
 
@@ -856,5 +881,222 @@ mod tests {
         b.set_recursive(site, true).unwrap();
         let pag = b.finish();
         assert!(pag.is_recursive_site(site));
+    }
+
+    /// A builder with two methods of six locals and four objects each,
+    /// two globals, three fields and two call sites per method: enough
+    /// distinct edges of every kind for the edge table to grow several
+    /// times, few enough that random calls repeat often.
+    struct EdgeFixture {
+        b: PagBuilder,
+        locals: [Vec<VarId>; 2],
+        globals: Vec<VarId>,
+        objs: [Vec<ObjId>; 2],
+        fields: Vec<FieldId>,
+        sites: [Vec<CallSiteId>; 2],
+    }
+
+    fn edge_fixture() -> EdgeFixture {
+        let mut b = PagBuilder::new();
+        let ms = [0, 1].map(|i| b.add_method(&format!("m{i}"), None).unwrap());
+        let locals = [0, 1].map(|i| {
+            (0..6)
+                .map(|j| b.add_local(&format!("m{i}.v{j}"), ms[i], None).unwrap())
+                .collect()
+        });
+        let globals = (0..2)
+            .map(|j| b.add_global(&format!("g{j}"), None).unwrap())
+            .collect();
+        let objs = [0, 1].map(|i| {
+            (0..4)
+                .map(|j| b.add_obj(&format!("m{i}.o{j}"), None, Some(ms[i])).unwrap())
+                .collect()
+        });
+        let fields = (0..3).map(|j| b.field(&format!("f{j}"))).collect();
+        let sites = [0, 1].map(|i| {
+            (0..2)
+                .map(|j| b.add_call_site(&format!("m{i}.s{j}"), ms[i]).unwrap())
+                .collect()
+        });
+        EdgeFixture {
+            b,
+            locals,
+            globals,
+            objs,
+            fields,
+            sites,
+        }
+    }
+
+    type Key = (NodeRef, NodeRef, EdgeKind);
+
+    impl EdgeFixture {
+        /// Makes one `add_*` call, chosen by `op`, and returns the edge it
+        /// asked for when the builder accepted it.
+        fn call(&mut self, (kind, m, x, y, z): (u8, usize, usize, usize, usize)) -> Option<Key> {
+            let (m, n) = (m % 2, 1 - m % 2);
+            let local = |i: usize, at: usize| self.locals[i][at % 6];
+            let (v, w) = (local(m, x), local(m, y));
+            let var = |v: VarId| NodeRef::Var(v);
+            let (key, result) = match kind % 7 {
+                0 => {
+                    let o = self.objs[m][z % 4];
+                    (
+                        (NodeRef::Obj(o), var(v), EdgeKind::New),
+                        self.b.add_new(o, v),
+                    )
+                }
+                1 => ((var(v), var(w), EdgeKind::Assign), self.b.add_assign(v, w)),
+                2 => {
+                    let g = self.globals[z % 2];
+                    let (src, dst) = if y % 2 == 0 { (v, g) } else { (g, v) };
+                    let key = (var(src), var(dst), EdgeKind::AssignGlobal);
+                    (key, self.b.add_assign(src, dst))
+                }
+                3 => {
+                    let f = self.fields[z % 3];
+                    (
+                        (var(v), var(w), EdgeKind::Load(f)),
+                        self.b.add_load(f, v, w),
+                    )
+                }
+                4 => {
+                    let f = self.fields[z % 3];
+                    (
+                        (var(v), var(w), EdgeKind::Store(f)),
+                        self.b.add_store(f, v, w),
+                    )
+                }
+                5 => {
+                    let (s, p) = (self.sites[m][z % 2], local(n, y));
+                    (
+                        (var(v), var(p), EdgeKind::Entry(s)),
+                        self.b.add_entry(s, v, p),
+                    )
+                }
+                _ => {
+                    let (s, r) = (self.sites[m][z % 2], local(n, y));
+                    (
+                        (var(r), var(v), EdgeKind::Exit(s)),
+                        self.b.add_exit(s, r, v),
+                    )
+                }
+            };
+            result.ok().map(|()| key)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn edge_table_keeps_first_occurrences(
+            ops in collection::vec((0u8..7, 0usize..2, 0usize..6, 0usize..6, 0usize..4), 1..1500),
+        ) {
+            let mut fx = edge_fixture();
+            let mut seen = BTreeSet::new();
+            let mut first = Vec::new();
+            for &op in &ops {
+                if let Some(key) = fx.call(op) {
+                    if seen.insert(key) {
+                        first.push(key);
+                    }
+                }
+                prop_assert_eq!(fx.b.num_edges(), seen.len());
+            }
+            let pag = fx.b.finish();
+            let edges: Vec<Key> = pag
+                .edges()
+                .iter()
+                .map(|e| (pag.node_ref(e.src), pag.node_ref(e.dst), e.kind))
+                .collect();
+            prop_assert_eq!(edges, first);
+        }
+
+        #[test]
+        fn names_resolve_like_a_map_in_every_namespace(
+            ops in collection::vec((0usize..5, collection::vec(0usize..3, 0..=3)), 1..400),
+        ) {
+            // Names over `a`, `b` and `#` of length 0 to 3: the empty
+            // name, names that prefix others, and names declared in
+            // several namespaces all occur.
+            let name_of = |chars: &[usize]| -> String {
+                chars.iter().map(|&c| ['a', 'b', '#'][c]).collect()
+            };
+            let mut b = PagBuilder::new();
+            let main = b.add_method("main", None).unwrap();
+            let mut reference: [HashMap<String, u32>; 5] = Default::default();
+            reference[1].insert("main".to_owned(), 0);
+            let kinds = ["field", "method", "var", "obj", "callsite"];
+            for (ns, chars) in &ops {
+                let (ns, name) = (*ns, name_of(chars));
+                let declared = match ns {
+                    0 => Ok(b.field(&name).as_raw()),
+                    1 => b.add_method(&name, None).map(|m| m.as_raw()),
+                    2 if chars.len() % 2 == 0 => b.add_local(&name, main, None).map(|v| v.as_raw()),
+                    2 => b.add_global(&name, None).map(|v| v.as_raw()),
+                    3 => b.add_obj(&name, None, Some(main)).map(|o| o.as_raw()),
+                    _ => b.add_call_site(&name, main).map(|s| s.as_raw()),
+                };
+                let table = &mut reference[ns];
+                match (declared, table.get(&name)) {
+                    (Ok(id), Some(&old)) => {
+                        // Only fields are interned idempotently.
+                        prop_assert_eq!((ns, id), (0, old));
+                    }
+                    (Ok(id), None) => {
+                        prop_assert_eq!(id as usize, table.len());
+                        table.insert(name, id);
+                    }
+                    (Err(e), Some(_)) => {
+                        let expected = BuildError::DuplicateName { kind: kinds[ns], name };
+                        prop_assert_eq!(e, expected);
+                    }
+                    (Err(e), None) => panic!("`{name}` rejected in {}: {e}", kinds[ns]),
+                }
+            }
+            let pag = b.clone().finish();
+            let universe = (0..=3usize).flat_map(|len| {
+                (0..3usize.pow(len as u32)).map(move |i| {
+                    (0..len).map(|d| i / 3usize.pow(d as u32) % 3).collect::<Vec<_>>()
+                })
+            });
+            for chars in universe {
+                let name = name_of(&chars);
+                // The builder has no field lookup (`field` interns).
+                let found = [
+                    pag.find_field(&name).map(|f| f.as_raw()),
+                    b.find_method(&name).map(|m| m.as_raw()),
+                    b.find_var(&name).map(|v| v.as_raw()),
+                    b.find_obj(&name).map(|o| o.as_raw()),
+                    b.find_call_site(&name).map(|s| s.as_raw()),
+                ];
+                let frozen = [
+                    pag.find_field(&name).map(|f| f.as_raw()),
+                    pag.find_method(&name).map(|m| m.as_raw()),
+                    pag.find_var(&name).map(|v| v.as_raw()),
+                    pag.find_obj(&name).map(|o| o.as_raw()),
+                    pag.find_call_site(&name).map(|s| s.as_raw()),
+                ];
+                let expected = [0, 1, 2, 3, 4].map(|ns| reference[ns].get(&name).copied());
+                prop_assert_eq!(found, expected, "{:?}", name);
+                prop_assert_eq!(frozen, expected, "{:?}", name);
+            }
+            for (name, &id) in &reference[0] {
+                prop_assert_eq!(pag.field_name(FieldId::from_raw(id)), name);
+            }
+            for (name, &id) in &reference[1] {
+                prop_assert_eq!(pag.method_name(MethodId::from_raw(id)), name);
+            }
+            for (name, &id) in &reference[2] {
+                prop_assert_eq!(pag.var_name(VarId::from_raw(id)), name);
+            }
+            for (name, &id) in &reference[3] {
+                prop_assert_eq!(pag.obj_label(ObjId::from_raw(id)), name);
+            }
+            for (name, &id) in &reference[4] {
+                prop_assert_eq!(pag.site_label(CallSiteId::from_raw(id)), name);
+            }
+        }
     }
 }

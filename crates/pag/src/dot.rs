@@ -8,6 +8,23 @@ use crate::edge::EdgeKind;
 use crate::graph::Pag;
 use crate::node::{NodeId, NodeRef};
 
+/// A name as the inside of a DOT `"…"` string: `\` and `"` are
+/// backslash-escaped, so a name cannot end the string early, and
+/// Graphviz does not read a backslash in it as an escape such as `\N`
+/// (the node's name).
+struct Quoted<'a>(&'a str);
+
+impl std::fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut rest = self.0;
+        while let Some(i) = rest.find(&['\\', '"'][..]) {
+            write!(f, "{}\\{}", &rest[..i], &rest[i..=i])?;
+            rest = &rest[i + 1..];
+        }
+        f.write_str(rest)
+    }
+}
+
 /// Renders a PAG to DOT.
 ///
 /// Nodes are grouped into one `cluster_*` subgraph per method (objects
@@ -54,9 +71,9 @@ pub fn to_dot(pag: &Pag) -> String {
             objs[m.index()].push(o);
         }
     }
-    for (m, info) in pag.methods() {
+    for (m, _) in pag.methods() {
         let _ = writeln!(out, "  subgraph cluster_m{} {{", m.as_raw());
-        let _ = writeln!(out, "    label=\"{}\";", info.name);
+        let _ = writeln!(out, "    label=\"{}\";", Quoted(pag.method_name(m)));
         out.push_str("    style=dotted;\n");
         for &v in &locals[m.index()] {
             let n = pag.var_node(v);
@@ -64,7 +81,7 @@ pub fn to_dot(pag: &Pag) -> String {
                 out,
                 "    {} [label=\"{}\" shape=ellipse];",
                 node_name(n),
-                pag.var(v).name
+                Quoted(pag.var_name(v))
             );
         }
         for &o in &objs[m.index()] {
@@ -74,7 +91,7 @@ pub fn to_dot(pag: &Pag) -> String {
                 out,
                 "    {} [label=\"{}\" shape={shape}];",
                 node_name(n),
-                pag.obj(o).label
+                Quoted(pag.obj_label(o))
             );
         }
         out.push_str("  }\n");
@@ -87,7 +104,7 @@ pub fn to_dot(pag: &Pag) -> String {
                 out,
                 "  {} [label=\"{}\" shape=ellipse style=bold];",
                 node_name(pag.var_node(v)),
-                info.name
+                Quoted(pag.var_name(v))
             );
         }
     }
@@ -97,7 +114,7 @@ pub fn to_dot(pag: &Pag) -> String {
                 out,
                 "  {} [label=\"{}\" shape=box];",
                 node_name(pag.obj_node(o)),
-                info.label
+                Quoted(pag.obj_label(o))
             );
         }
     }
@@ -107,10 +124,10 @@ pub fn to_dot(pag: &Pag) -> String {
             EdgeKind::New => "new".to_owned(),
             EdgeKind::Assign => "assign".to_owned(),
             EdgeKind::AssignGlobal => "assignglobal".to_owned(),
-            EdgeKind::Load(f) => format!("ld({})", pag.field_name(f)),
-            EdgeKind::Store(f) => format!("st({})", pag.field_name(f)),
-            EdgeKind::Entry(s) => format!("entry{}", pag.call_site(s).label),
-            EdgeKind::Exit(s) => format!("exit{}", pag.call_site(s).label),
+            EdgeKind::Load(f) => format!("ld({})", Quoted(pag.field_name(f))),
+            EdgeKind::Store(f) => format!("st({})", Quoted(pag.field_name(f))),
+            EdgeKind::Entry(s) => format!("entry{}", Quoted(pag.site_label(s))),
+            EdgeKind::Exit(s) => format!("exit{}", Quoted(pag.site_label(s))),
         };
         let style = if e.kind.is_global() {
             " style=dashed"
@@ -165,5 +182,39 @@ mod tests {
         b.add_new(n, v).unwrap();
         let dot = to_dot(&b.finish());
         assert!(dot.contains("shape=diamond"));
+    }
+
+    #[test]
+    fn quotes_and_backslashes_in_names_are_escaped() {
+        let mut b = PagBuilder::new();
+        let m = b.add_method(r#"M"x"#, None).unwrap();
+        let v = b.add_local(r"v\N", m, None).unwrap();
+        let w = b.add_local(r#"w""#, m, None).unwrap();
+        let g = b.add_global(r#"G\"#, None).unwrap();
+        let o = b.add_obj(r#"o"1"#, None, Some(m)).unwrap();
+        b.add_obj(r"top\", None, None).unwrap();
+        let f = b.field(r#"f"\"#);
+        let site = b.add_call_site(r#"c"s"#, m).unwrap();
+        b.add_new(o, v).unwrap();
+        b.add_load(f, v, w).unwrap();
+        b.add_store(f, w, v).unwrap();
+        b.add_assign(v, g).unwrap();
+        b.add_entry(site, v, w).unwrap();
+        b.add_exit(site, w, v).unwrap();
+        let dot = to_dot(&b.finish());
+        for line in [
+            r#"    label="M\"x";"#,
+            r#"    v0 [label="v\\N" shape=ellipse];"#,
+            r#"    v1 [label="w\"" shape=ellipse];"#,
+            r#"    o0 [label="o\"1" shape=box];"#,
+            r#"  v2 [label="G\\" shape=ellipse style=bold];"#,
+            r#"  o1 [label="top\\" shape=box];"#,
+            r#"  v0 -> v1 [label="ld(f\"\\)"];"#,
+            r#"  v1 -> v0 [label="st(f\"\\)"];"#,
+            r#"  v0 -> v1 [label="entryc\"s" style=dashed];"#,
+            r#"  v1 -> v0 [label="exitc\"s" style=dashed];"#,
+        ] {
+            assert!(dot.lines().any(|l| l == line), "{line}\n{dot}");
+        }
     }
 }

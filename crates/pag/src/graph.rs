@@ -2,9 +2,9 @@
 
 use std::sync::OnceLock;
 
-use crate::builder::Names;
 use crate::edge::{Adj, AdjClass, Edge, EdgeId, EdgeKind, FieldEdge};
 use crate::ids::{CallSiteId, FieldId, MethodId, ObjId, VarId};
+use crate::names::{vec_bytes, Names, Ns};
 use crate::node::{CallSiteInfo, MethodInfo, NodeId, NodeRef, ObjInfo, VarInfo};
 use crate::sites::SiteIndex;
 use crate::stats::PagStats;
@@ -38,7 +38,6 @@ use crate::types::Hierarchy;
 #[derive(Debug, Clone)]
 pub struct Pag {
     pub(crate) hierarchy: Hierarchy,
-    pub(crate) fields: Vec<String>,
     pub(crate) methods: Vec<MethodInfo>,
     pub(crate) vars: Vec<VarInfo>,
     pub(crate) objs: Vec<ObjInfo>,
@@ -65,7 +64,9 @@ pub struct Pag {
     // not scan a formal's every caller.
     sites: SiteIndex,
 
-    // The builder's name tables, moved in by `PagBuilder::finish`.
+    // Every field, method, variable, object and call-site name, and the
+    // tables that resolve them: the builder's, moved in by
+    // `PagBuilder::finish`.
     names: Names,
 
     // `fingerprint()`'s memo: filled on first use, never by `assemble`.
@@ -112,7 +113,7 @@ impl Pag {
     /// Number of interned fields.
     #[inline]
     pub fn num_fields(&self) -> usize {
-        self.fields.len()
+        self.names.len(Ns::Field)
     }
 
     /// Number of call sites.
@@ -312,7 +313,31 @@ impl Pag {
     /// Name of a field.
     #[inline]
     pub fn field_name(&self, f: FieldId) -> &str {
-        &self.fields[f.index()]
+        self.names.get(Ns::Field, f.as_raw())
+    }
+
+    /// Name of a variable.
+    #[inline]
+    pub fn var_name(&self, v: VarId) -> &str {
+        self.names.get(Ns::Var, v.as_raw())
+    }
+
+    /// Label of an object.
+    #[inline]
+    pub fn obj_label(&self, o: ObjId) -> &str {
+        self.names.get(Ns::Obj, o.as_raw())
+    }
+
+    /// Name of a method.
+    #[inline]
+    pub fn method_name(&self, m: MethodId) -> &str {
+        self.names.get(Ns::Method, m.as_raw())
+    }
+
+    /// Label of a call site.
+    #[inline]
+    pub fn site_label(&self, s: CallSiteId) -> &str {
+        self.names.get(Ns::Site, s.as_raw())
     }
 
     /// `true` when the call site participates in a call-graph cycle; its
@@ -366,44 +391,41 @@ impl Pag {
 
     /// Iterates over all fields with their ids.
     pub fn fields(&self) -> impl Iterator<Item = (FieldId, &str)> {
-        self.fields
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (FieldId::from_raw(i as u32), f.as_str()))
+        (0..self.num_fields() as u32).map(|i| (FieldId::from_raw(i), self.names.get(Ns::Field, i)))
     }
 
     // ---- name lookup -------------------------------------------------------
 
     /// Looks up a variable by name.
     pub fn find_var(&self, name: &str) -> Option<VarId> {
-        self.names.vars.get(name).copied()
+        self.names.find(Ns::Var, name).map(VarId::from_raw)
     }
 
     /// Looks up a method by name.
     pub fn find_method(&self, name: &str) -> Option<MethodId> {
-        self.names.methods.get(name).copied()
+        self.names.find(Ns::Method, name).map(MethodId::from_raw)
     }
 
     /// Looks up a field by name.
     pub fn find_field(&self, name: &str) -> Option<FieldId> {
-        self.names.fields.get(name).copied()
+        self.names.find(Ns::Field, name).map(FieldId::from_raw)
     }
 
     /// Looks up an object by label.
     pub fn find_obj(&self, label: &str) -> Option<ObjId> {
-        self.names.objs.get(label).copied()
+        self.names.find(Ns::Obj, label).map(ObjId::from_raw)
     }
 
     /// Looks up a call site by label.
     pub fn find_call_site(&self, label: &str) -> Option<CallSiteId> {
-        self.names.sites.get(label).copied()
+        self.names.find(Ns::Site, label).map(CallSiteId::from_raw)
     }
 
     /// Human-readable label of a node (variable name or object label).
     pub fn node_label(&self, n: NodeId) -> &str {
         match self.node_ref(n) {
-            NodeRef::Var(v) => &self.vars[v.index()].name,
-            NodeRef::Obj(o) => &self.objs[o.index()].label,
+            NodeRef::Var(v) => self.var_name(v),
+            NodeRef::Obj(o) => self.obj_label(o),
         }
     }
 
@@ -440,12 +462,36 @@ impl Pag {
         PagStats::of(self)
     }
 
+    /// The heap bytes this graph's own arrays hold: the name arena, its
+    /// spans and slot tables, the info records, the edge list, the
+    /// segment tables, both adjacency lists, the per-field store/load
+    /// lists and the call-site index, each counted by capacity. The
+    /// class hierarchy is not counted, and neither is allocator
+    /// overhead (headers, size-class rounding, freed memory the
+    /// allocator keeps), so a process's resident size is larger.
+    pub fn heap_bytes(&self) -> usize {
+        let field_lists = |lists: &Vec<Vec<FieldEdge>>| {
+            vec_bytes(lists) + lists.iter().map(vec_bytes).sum::<usize>()
+        };
+        self.names.heap_bytes()
+            + vec_bytes(&self.methods)
+            + vec_bytes(&self.vars)
+            + vec_bytes(&self.objs)
+            + vec_bytes(&self.call_sites)
+            + vec_bytes(&self.edges)
+            + vec_bytes(&self.out_seg)
+            + vec_bytes(&self.in_seg)
+            + vec_bytes(&self.out_list)
+            + vec_bytes(&self.in_list)
+            + field_lists(&self.stores_by_field)
+            + field_lists(&self.loads_by_field)
+            + self.sites.heap_bytes()
+    }
+
     // ---- construction (crate-internal) --------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         hierarchy: Hierarchy,
-        fields: Vec<String>,
         methods: Vec<MethodInfo>,
         vars: Vec<VarInfo>,
         objs: Vec<ObjInfo>,
@@ -466,16 +512,21 @@ impl Pag {
                 EdgeKind::New | EdgeKind::Assign | EdgeKind::AssignGlobal => 0,
             }
         };
-        let mut out_seg = vec![0u32; num_nodes * K + 1];
-        let mut in_seg = vec![0u32; num_nodes * K + 1];
+        // The segment tables are their own fill cursors: segment `j`'s
+        // count goes two slots up, at `j + 2`, so after the prefix sum
+        // slot `j + 1` holds segment `j`'s start. Filling advances it to
+        // segment `j`'s end, which is segment `j + 1`'s start, and the
+        // spare last slot is dropped.
+        let mut out_seg = vec![0u32; num_nodes * K + 2];
+        let mut in_seg = vec![0u32; num_nodes * K + 2];
         for e in &edges {
             let k = AdjClass::of(e.kind) as usize;
-            out_seg[e.src.index() * K + k + 1] += 1;
-            in_seg[e.dst.index() * K + k + 1] += 1;
+            out_seg[e.src.index() * K + k + 2] += 1;
+            in_seg[e.dst.index() * K + k + 2] += 1;
         }
-        for i in 0..num_nodes * K {
-            out_seg[i + 1] += out_seg[i];
-            in_seg[i + 1] += in_seg[i];
+        for i in 1..out_seg.len() {
+            out_seg[i] += out_seg[i - 1];
+            in_seg[i] += in_seg[i - 1];
         }
         let nil = Adj {
             node: NodeId(0),
@@ -484,20 +535,18 @@ impl Pag {
         };
         let mut out_list = vec![nil; edges.len()];
         let mut in_list = vec![nil; edges.len()];
-        let mut out_cursor = out_seg.clone();
-        let mut in_cursor = in_seg.clone();
         for (i, e) in edges.iter().enumerate() {
             let edge = EdgeId(i as u32);
             let operand = operand_of(e.kind);
             let k = AdjClass::of(e.kind) as usize;
-            let oc = &mut out_cursor[e.src.index() * K + k];
+            let oc = &mut out_seg[e.src.index() * K + k + 1];
             out_list[*oc as usize] = Adj {
                 node: e.dst,
                 operand,
                 edge,
             };
             *oc += 1;
-            let ic = &mut in_cursor[e.dst.index() * K + k];
+            let ic = &mut in_seg[e.dst.index() * K + k + 1];
             in_list[*ic as usize] = Adj {
                 node: e.src,
                 operand,
@@ -505,9 +554,12 @@ impl Pag {
             };
             *ic += 1;
         }
+        out_seg.pop();
+        in_seg.pop();
 
-        let mut stores_by_field = vec![Vec::new(); fields.len()];
-        let mut loads_by_field = vec![Vec::new(); fields.len()];
+        let num_fields = names.len(Ns::Field);
+        let mut stores_by_field = vec![Vec::new(); num_fields];
+        let mut loads_by_field = vec![Vec::new(); num_fields];
         for (i, e) in edges.iter().enumerate() {
             let fe = FieldEdge {
                 src: e.src,
@@ -525,7 +577,6 @@ impl Pag {
 
         Pag {
             hierarchy,
-            fields,
             methods,
             vars,
             objs,

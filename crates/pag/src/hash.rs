@@ -139,28 +139,29 @@ pub(crate) fn fingerprint_of(pag: &Pag) -> u64 {
     for (_, name) in pag.fields() {
         write_str(&mut h, name);
     }
-    for (_, m) in pag.methods() {
-        write_str(&mut h, &m.name);
+    for (m, _) in pag.methods() {
+        write_str(&mut h, pag.method_name(m));
     }
-    for (_, v) in pag.vars() {
-        write_str(&mut h, &v.name);
-        h.write_u32(v.kind.method().map_or(u32::MAX, MethodId::as_raw));
+    for (v, info) in pag.vars() {
+        write_str(&mut h, pag.var_name(v));
+        h.write_u32(info.kind.method().map_or(u32::MAX, MethodId::as_raw));
     }
-    for (_, o) in pag.objs() {
-        write_str(&mut h, &o.label);
-        h.write_u32(o.alloc_method.map_or(u32::MAX, MethodId::as_raw));
-        h.write_u32(o.class.map_or(u32::MAX, |c| c.as_raw()));
+    for (o, info) in pag.objs() {
+        write_str(&mut h, pag.obj_label(o));
+        h.write_u32(info.alloc_method.map_or(u32::MAX, MethodId::as_raw));
+        h.write_u32(info.class.map_or(u32::MAX, |c| c.as_raw()));
     }
-    for (_, s) in pag.call_sites() {
-        write_str(&mut h, &s.label);
-        h.write_u8(u8::from(s.recursive));
+    for (s, info) in pag.call_sites() {
+        write_str(&mut h, pag.site_label(s));
+        h.write_u8(u8::from(info.recursive));
     }
     h.finish()
 }
 
-/// Stable tag + operand for an edge kind (fingerprint input only; edges
-/// themselves are never serialized).
-fn edge_kind_tag(kind: EdgeKind) -> (u8, u32) {
+/// Stable tag + operand for an edge kind: fingerprint input, and part of
+/// the builder's packed edge key (edges themselves are never
+/// serialized).
+pub(crate) fn edge_kind_tag(kind: EdgeKind) -> (u8, u32) {
     match kind {
         EdgeKind::New => (0, 0),
         EdgeKind::Assign => (1, 0),

@@ -13,8 +13,8 @@
 //! * dense-id arenas and an invariant-checking [`PagBuilder`], which
 //!   owns name resolution: the [text parser](crate::text) and the
 //!   `dynsum-frontend` crate resolve names through its `find_*`
-//!   lookups, and [`PagBuilder::finish`] moves its name tables into the
-//!   frozen [`Pag`] rather than rebuilding them;
+//!   lookups, and [`PagBuilder::finish`] moves its name arena and
+//!   tables into the frozen [`Pag`] rather than rebuilding them;
 //! * a sealed single-inheritance class [`Hierarchy`] with O(1) subtype
 //!   tests (used by the `SafeCast` client and call resolution);
 //! * precomputed bidirectional **kind-partitioned** adjacency plus the
@@ -64,10 +64,25 @@
 //!   return the matching part of a segment, in segment order, by binary
 //!   search: the cost no longer grows with the caller count.
 //! * **One build pass.** [`PagBuilder::finish`] counting-sorts edges by
-//!   `(node, class)` in O(V·7 + E), and sorts only the entry/exit edges
-//!   into the call-site index; the graph stays immutable afterwards,
-//!   which is what makes the shared borrows of segments coexist with
-//!   the engines' mutable traversal state.
+//!   `(node, class)` in O(V·7 + E), using the segment tables as their
+//!   own fill cursors (no cursor copies), after dropping the builder's
+//!   wider edge tuples, and sorts only the entry/exit edges into the
+//!   call-site index; the graph stays immutable afterwards, which is
+//!   what makes the shared borrows of segments coexist with the
+//!   engines' mutable traversal state.
+//! * **Each name once.** Every field, method, variable, object and
+//!   call-site name lives once, in one `String` arena; the info records
+//!   ([`VarInfo`], [`ObjInfo`], [`MethodInfo`], [`CallSiteInfo`]) hold
+//!   no strings, and names are read through [`Pag::var_name`],
+//!   [`Pag::obj_label`], [`Pag::method_name`], [`Pag::site_label`] and
+//!   [`Pag::field_name`]. Each namespace finds an id through an
+//!   open-addressing `u32` slot table (load at most ½, linear probing)
+//!   hashed by one per-builder `RandomState`, so `.pag` text cannot
+//!   choose collisions, and a declaration checks for a duplicate and
+//!   inserts in one probe. The builder deduplicates edges through the
+//!   same slot table, keyed by the edge packed into a `u128`, so edges
+//!   keep their first-occurrence [`EdgeId`] order. [`Pag::heap_bytes`]
+//!   reports what the frozen arrays hold.
 //! * **Fingerprint once.** [`Pag::fingerprint`] — the snapshot header's
 //!   and the daemon session key's identity of the graph — hashes every
 //!   edge and name with the frozen [`StableHasher`], 11–16 ms on the
@@ -106,6 +121,7 @@ mod graph;
 mod hash;
 mod ids;
 mod meta;
+mod names;
 mod node;
 mod sites;
 mod stats;

@@ -33,23 +33,22 @@ impl VarKind {
     }
 }
 
-/// Metadata for a variable node.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Metadata for a variable node. Its source-level name, unique within
+/// the PAG (the paper assumes no two methods contain identically named
+/// locals, §2), is [`Pag::var_name`](crate::Pag::var_name).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VarInfo {
-    /// Source-level name; unique within the PAG (the paper assumes no two
-    /// methods contain identically named locals, §2).
-    pub name: String,
     /// Local-vs-global classification.
     pub kind: VarKind,
     /// Declared (static) type, if known. Used by clients for reporting.
     pub declared_class: Option<ClassId>,
 }
 
-/// Metadata for an abstract heap object (allocation site).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Metadata for an abstract heap object (allocation site). Its label
+/// for printing, e.g. `o26` for the object allocated at line 26, is
+/// [`Pag::obj_label`](crate::Pag::obj_label).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObjInfo {
-    /// A label for printing, e.g. `o26` for the object allocated at line 26.
-    pub label: String,
     /// Runtime class of instances allocated at this site, if known.
     pub class: Option<ClassId>,
     /// The method containing the allocation site, if any.
@@ -60,23 +59,21 @@ pub struct ObjInfo {
     pub is_null: bool,
 }
 
-/// Metadata for a method.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Metadata for a method. Its name, unique within the PAG (qualified
+/// names like `Vector.add` are conventional), is
+/// [`Pag::method_name`](crate::Pag::method_name).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MethodInfo {
-    /// Name, unique within the PAG (qualified names like `Vector.add` are
-    /// conventional).
-    pub name: String,
     /// Declaring class, if any (`None` for synthetic or static-only
     /// methods in generated workloads).
     pub class: Option<ClassId>,
 }
 
-/// Metadata for a call site.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Metadata for a call site. Its label for printing, conventionally
+/// the source line (the paper's `i` in `entry_i`), is
+/// [`Pag::site_label`](crate::Pag::site_label).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CallSiteInfo {
-    /// A label for printing, conventionally the source line (the paper's
-    /// `i` in `entry_i`).
-    pub label: String,
     /// The calling method containing this site.
     pub caller: MethodId,
     /// `true` when the call participates in a call-graph cycle. Entry and

@@ -12,6 +12,7 @@
 
 use crate::edge::{Adj, Edge, EdgeId, EdgeKind};
 use crate::ids::CallSiteId;
+use crate::names::vec_bytes;
 use crate::node::{CallSiteInfo, NodeId};
 
 /// Adjacency entries grouped into runs, each run sorted by a node key
@@ -39,6 +40,10 @@ impl KeyedRuns {
             keys: items.iter().map(|&(_, key, _)| key).collect(),
             adjs: items.into_iter().map(|(.., a)| a).collect(),
         }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.off) + vec_bytes(&self.keys) + vec_bytes(&self.adjs)
     }
 
     #[inline]
@@ -94,6 +99,18 @@ impl SiteIndex {
             recursive_entries: KeyedRuns::build(1, recursive_entries),
             recursive_exits: KeyedRuns::build(1, recursive_exits),
         }
+    }
+
+    pub(crate) fn heap_bytes(&self) -> usize {
+        [
+            &self.entries,
+            &self.exits,
+            &self.recursive_entries,
+            &self.recursive_exits,
+        ]
+        .iter()
+        .map(|runs| runs.heap_bytes())
+        .sum()
     }
 
     #[inline]

@@ -90,49 +90,51 @@ pub fn write_pag(pag: &Pag) -> String {
     for (_, name) in pag.fields() {
         let _ = writeln!(out, "field {name}");
     }
-    for (_, m) in pag.methods() {
-        match m.class {
+    for (m, info) in pag.methods() {
+        let name = pag.method_name(m);
+        match info.class {
             Some(c) => {
-                let _ = writeln!(out, "method {} class {}", m.name, pag.hierarchy().name(c));
+                let _ = writeln!(out, "method {name} class {}", pag.hierarchy().name(c));
             }
             None => {
-                let _ = writeln!(out, "method {}", m.name);
+                let _ = writeln!(out, "method {name}");
             }
         }
     }
-    for (_, v) in pag.vars() {
-        match v.kind {
+    for (v, info) in pag.vars() {
+        let name = pag.var_name(v);
+        match info.kind {
             VarKind::Global => {
-                let _ = write!(out, "global {}", v.name);
+                let _ = write!(out, "global {name}");
             }
             VarKind::Local(m) => {
-                let _ = write!(out, "local {} method {}", v.name, pag.method(m).name);
+                let _ = write!(out, "local {name} method {}", pag.method_name(m));
             }
         }
-        if let Some(c) = v.declared_class {
+        if let Some(c) = info.declared_class {
             let _ = write!(out, " type {}", pag.hierarchy().name(c));
         }
         out.push('\n');
     }
-    for (_, o) in pag.objs() {
-        let keyword = if o.is_null { "nullobj" } else { "obj" };
-        let _ = write!(out, "{keyword} {}", o.label);
-        if let Some(c) = o.class {
+    for (o, info) in pag.objs() {
+        let keyword = if info.is_null { "nullobj" } else { "obj" };
+        let _ = write!(out, "{keyword} {}", pag.obj_label(o));
+        if let Some(c) = info.class {
             let _ = write!(out, " class {}", pag.hierarchy().name(c));
         }
-        if let Some(m) = o.alloc_method {
-            let _ = write!(out, " method {}", pag.method(m).name);
+        if let Some(m) = info.alloc_method {
+            let _ = write!(out, " method {}", pag.method_name(m));
         }
         out.push('\n');
     }
-    for (_, s) in pag.call_sites() {
+    for (s, info) in pag.call_sites() {
         let _ = write!(
             out,
             "callsite {} method {}",
-            s.label,
-            pag.method(s.caller).name
+            pag.site_label(s),
+            pag.method_name(info.caller)
         );
-        if s.recursive {
+        if info.recursive {
             out.push_str(" recursive");
         }
         out.push('\n');
@@ -154,10 +156,10 @@ pub fn write_pag(pag: &Pag) -> String {
                 let _ = writeln!(out, "store {} {src} {dst}", pag.field_name(f));
             }
             EdgeKind::Entry(s) => {
-                let _ = writeln!(out, "entry {} {src} {dst}", pag.call_site(s).label);
+                let _ = writeln!(out, "entry {} {src} {dst}", pag.site_label(s));
             }
             EdgeKind::Exit(s) => {
-                let _ = writeln!(out, "exit {} {src} {dst}", pag.call_site(s).label);
+                let _ = writeln!(out, "exit {} {src} {dst}", pag.site_label(s));
             }
         }
     }
@@ -180,6 +182,8 @@ pub fn parse_pag(input: &str) -> Result<Pag, ParseTextError> {
     let mut b = PagBuilder::new();
 
     let mut saw_header = false;
+    // One token buffer for every line.
+    let mut toks: Vec<&str> = Vec::new();
     for (idx, raw) in input.lines().enumerate() {
         let lineno = idx + 1;
         // A comment starts at the first token that starts with `#`.
@@ -187,10 +191,8 @@ pub fn parse_pag(input: &str) -> Result<Pag, ParseTextError> {
         // `Class.method#var`), but no name can start with it: `write_pag`
         // separates tokens with a space, and would write such a name
         // back as a comment.
-        let toks: Vec<&str> = raw
-            .split_whitespace()
-            .take_while(|t| !t.starts_with('#'))
-            .collect();
+        toks.clear();
+        toks.extend(raw.split_whitespace().take_while(|t| !t.starts_with('#')));
         if toks.is_empty() {
             continue;
         }
@@ -485,6 +487,30 @@ exit 7 t v
             pag.var(v).declared_class,
             pag.hierarchy().find(&format!("C{last}"))
         );
+    }
+
+    #[test]
+    fn many_locals_and_repeated_edges_parse_within_seconds() {
+        // Variable names and edges resolve through the builder's slot
+        // tables: one probe per declaration, one per repeated edge.
+        const N: usize = 100_000;
+        let mut text = String::from("pag v1\nmethod m\n");
+        for i in 0..N {
+            let _ = writeln!(text, "local v{i} method m");
+        }
+        for _ in 0..N {
+            text.push_str("assign v0 v1\n");
+        }
+        let start = std::time::Instant::now();
+        let pag = parse_pag(&text).unwrap();
+        let took = start.elapsed();
+        assert!(
+            took.as_secs() < 10,
+            "{N} locals and {N} edges took {took:?}"
+        );
+        assert_eq!((pag.num_vars(), pag.num_edges()), (N, 1));
+        let last = pag.find_var(&format!("v{}", N - 1)).unwrap();
+        assert_eq!(pag.var_name(last), format!("v{}", N - 1));
     }
 
     #[test]

@@ -205,26 +205,24 @@ proptest! {
 
         // Metadata: null flags, classes, recursion bits, declared types.
         for (o, info) in pag.objs() {
-            let o2 = back.find_obj(&info.label).expect("object survives");
+            let o2 = back.find_obj(pag.obj_label(o)).expect("object survives");
             prop_assert_eq!(back.obj(o2).is_null, info.is_null);
             let c1 = info.class.map(|c| pag.hierarchy().name(c).to_owned());
             let c2 = back.obj(o2).class.map(|c| back.hierarchy().name(c).to_owned());
             prop_assert_eq!(c1, c2);
-            let _ = o;
         }
-        for (s, info) in pag.call_sites() {
-            let s2 = back.find_call_site(&info.label).expect("site survives");
+        for (s, _) in pag.call_sites() {
+            let s2 = back.find_call_site(pag.site_label(s)).expect("site survives");
             prop_assert_eq!(back.is_recursive_site(s2), pag.is_recursive_site(s));
         }
         for (v, info) in pag.vars() {
-            let v2 = back.find_var(&info.name).expect("var survives");
+            let v2 = back.find_var(pag.var_name(v)).expect("var survives");
             let t1 = info.declared_class.map(|c| pag.hierarchy().name(c).to_owned());
             let t2 = back
                 .var(v2)
                 .declared_class
                 .map(|c| back.hierarchy().name(c).to_owned());
             prop_assert_eq!(t1, t2);
-            let _ = v;
         }
 
         // Statistics (locality in particular) are identical.

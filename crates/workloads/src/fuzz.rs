@@ -447,7 +447,7 @@ pub fn query_vars(w: &Workload) -> Vec<(VarId, String)> {
         push(d.base, format!("deref@{}", d.location));
     }
     for f in &w.info.factories {
-        push(f.ret, format!("factory@{}", w.pag.method(f.method).name));
+        push(f.ret, format!("factory@{}", w.pag.method_name(f.method)));
     }
     out
 }

@@ -72,27 +72,27 @@ pub fn write_workload(w: &Workload) -> String {
     writeln!(s, "workload v1 {}", w.name).unwrap();
     s.push_str(&write_pag(&w.pag));
     if let Some(m) = w.info.entry {
-        writeln!(s, "entrypoint {}", w.pag.method(m).name).unwrap();
+        writeln!(s, "entrypoint {}", w.pag.method_name(m)).unwrap();
     }
     for c in &w.info.casts {
         writeln!(
             s,
             "site cast {} {} {}",
-            w.pag.var(c.var).name,
+            w.pag.var_name(c.var),
             w.pag.hierarchy().name(c.target),
             c.location
         )
         .unwrap();
     }
     for d in &w.info.derefs {
-        writeln!(s, "site deref {} {}", w.pag.var(d.base).name, d.location).unwrap();
+        writeln!(s, "site deref {} {}", w.pag.var_name(d.base), d.location).unwrap();
     }
     for fc in &w.info.factories {
         writeln!(
             s,
             "site factory {} {}",
-            w.pag.method(fc.method).name,
-            w.pag.var(fc.ret).name
+            w.pag.method_name(fc.method),
+            w.pag.var_name(fc.ret)
         )
         .unwrap();
     }

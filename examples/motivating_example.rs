@@ -30,7 +30,7 @@ fn main() {
         .pts
         .objects()
         .into_iter()
-        .map(|o| m.pag.obj(o).label.clone())
+        .map(|o| m.pag.obj_label(o).to_owned())
         .collect();
     println!("pts(s1) = {{{}}}   (paper: {{o26}})", objs1.join(", "));
 
@@ -47,7 +47,7 @@ fn main() {
         .pts
         .objects()
         .into_iter()
-        .map(|o| m.pag.obj(o).label.clone())
+        .map(|o| m.pag.obj_label(o).to_owned())
         .collect();
     println!("pts(s2) = {{{}}}   (paper: {{o29}})", objs2.join(", "));
 

@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .pts
             .objects()
             .into_iter()
-            .map(|o| compiled.pag.obj(o).label.clone())
+            .map(|o| compiled.pag.obj_label(o).to_owned())
             .collect();
         println!(
             "pointsTo({var_name}) = {{{}}} — {} edges traversed, {} summary cache hits",

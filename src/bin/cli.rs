@@ -170,6 +170,7 @@ fn cmd_compile(args: &[String]) -> Result<String, String> {
             let mut out = String::new();
             let _ = writeln!(out, "{file}:");
             let _ = writeln!(out, "  {s}");
+            let _ = writeln!(out, "  graph heap: {} bytes", pag.heap_bytes());
             let _ = writeln!(
                 out,
                 "  client sites: {} casts, {} derefs, {} factory candidates",
@@ -203,7 +204,7 @@ fn cmd_query(args: &[String]) -> Result<String, String> {
             .pts
             .objects()
             .into_iter()
-            .map(|o| pag.obj(o).label.clone())
+            .map(|o| pag.obj_label(o).to_owned())
             .collect();
         let _ = writeln!(
             out,
@@ -280,7 +281,7 @@ fn cmd_motivating() -> String {
         r.pts
             .objects()
             .into_iter()
-            .map(|o| m.pag.obj(o).label.clone())
+            .map(|o| m.pag.obj_label(o).to_owned())
             .collect::<Vec<_>>()
             .join(", ")
     };
@@ -354,6 +355,7 @@ mod tests {
         let out = run(&sv(&["compile", &f])).unwrap();
         assert!(out.contains("client sites"));
         assert!(out.contains("0 violation(s)"));
+        assert!(out.contains("  graph heap: "), "{out}");
         let text = run(&sv(&["compile", &f, "--emit", "text"])).unwrap();
         assert!(text.starts_with("pag v1"));
         let dot = run(&sv(&["compile", &f, "--emit", "dot"])).unwrap();

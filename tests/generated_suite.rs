@@ -142,7 +142,7 @@ fn generated_workloads_round_trip_through_text() {
     assert_eq!(back.stats().locality(), w.pag.stats().locality());
     // Spot-check a query on the re-imported graph.
     if let Some(cast) = w.info.casts.first() {
-        let name = &w.pag.var(cast.var).name;
+        let name = w.pag.var_name(cast.var);
         let v2 = back.find_var(name).unwrap();
         let mut e1 = dynsum_session(&w.pag, EngineConfig::default());
         let mut e2 = dynsum_session(&back, EngineConfig::default());

@@ -19,7 +19,7 @@ fn hand_built_pag_gives_paper_answers() {
         .pts
         .objects()
         .into_iter()
-        .map(|o| m.pag.obj(o).label.clone())
+        .map(|o| m.pag.obj_label(o).to_owned())
         .collect();
     assert_eq!(objs1, vec!["o26"], "pts(s1) must be {{o26}} (§3.4)");
     let r2 = engine.points_to(m.s2);
@@ -27,7 +27,7 @@ fn hand_built_pag_gives_paper_answers() {
         .pts
         .objects()
         .into_iter()
-        .map(|o| m.pag.obj(o).label.clone())
+        .map(|o| m.pag.obj_label(o).to_owned())
         .collect();
     assert_eq!(objs2, vec!["o29"], "pts(s2) must be {{o29}} (§3.4)");
 }
@@ -63,13 +63,13 @@ fn all_engines_agree_on_the_motivating_queries() {
             .pts
             .objects()
             .into_iter()
-            .map(|o| m.pag.obj(o).label.clone())
+            .map(|o| m.pag.obj_label(o).to_owned())
             .collect();
         let o2: Vec<_> = r2
             .pts
             .objects()
             .into_iter()
-            .map(|o| m.pag.obj(o).label.clone())
+            .map(|o| m.pag.obj_label(o).to_owned())
             .collect();
         assert_eq!(o1, vec!["o26"], "{name} pts(s1)");
         assert_eq!(o2, vec!["o29"], "{name} pts(s2)");
@@ -103,7 +103,7 @@ fn field_based_first_pass_conflates_s1_and_s2() {
         .pts
         .objects()
         .into_iter()
-        .map(|o| m.pag.obj(o).label.clone())
+        .map(|o| m.pag.obj_label(o).to_owned())
         .collect();
     assert_eq!(
         objs,

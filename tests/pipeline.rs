@@ -12,7 +12,7 @@ fn labels(pag: &dynsum::Pag, engine: &mut Session<'_>, var: &str) -> Vec<String>
     r.pts
         .objects()
         .into_iter()
-        .map(|o| pag.obj(o).label.clone())
+        .map(|o| pag.obj_label(o).to_owned())
         .collect()
 }
 
@@ -59,6 +59,7 @@ fn every_corpus_query_is_oracle_sound() {
             if info.kind.is_global() {
                 continue;
             }
+            let name = c.pag.var_name(v);
             let r = dynsum.points_to(v);
             if !r.resolved {
                 continue;
@@ -69,7 +70,7 @@ fn every_corpus_query_is_oracle_sound() {
                 r.pts.objects().is_subset(&oracle_set),
                 "{}: {} exceeded the oracle",
                 program.name,
-                info.name
+                name
             );
         }
     }
@@ -83,23 +84,24 @@ fn all_engines_agree_on_all_corpus_variables() {
         let mut norefine = Session::new(&c.pag, EngineKind::NoRefine);
         let mut refinepts = Session::new(&c.pag, EngineKind::RefinePts);
         let mut stasum = Session::new(&c.pag, EngineKind::StaSum);
-        for (v, info) in c.pag.vars() {
+        for (v, _) in c.pag.vars() {
+            let name = c.pag.var_name(v);
             let rd = dynsum.points_to(v);
             let rn = norefine.points_to(v);
             let rr = refinepts.points_to(v);
             let rs = stasum.points_to(v);
             if rd.resolved && rn.resolved && rr.resolved && rs.resolved {
                 let d = rd.pts.objects();
-                assert_eq!(d, rn.pts.objects(), "{}: {} D!=N", program.name, info.name);
-                assert_eq!(d, rr.pts.objects(), "{}: {} D!=R", program.name, info.name);
-                assert_eq!(d, rs.pts.objects(), "{}: {} D!=S", program.name, info.name);
+                assert_eq!(d, rn.pts.objects(), "{}: {} D!=N", program.name, name);
+                assert_eq!(d, rr.pts.objects(), "{}: {} D!=R", program.name, name);
+                assert_eq!(d, rs.pts.objects(), "{}: {} D!=S", program.name, name);
             }
             // Conservative aborts must coincide between the two
             // full-precision engines built on the same machinery.
             assert_eq!(
                 rd.resolved, rn.resolved,
                 "{}: {} resolution mismatch",
-                program.name, info.name
+                program.name, name
             );
         }
     }
@@ -114,8 +116,9 @@ fn exported_graphs_answer_identically() {
             dynsum::pag::text::parse_pag(&text).unwrap_or_else(|e| panic!("{}: {e}", program.name));
         let mut e1 = Session::new(&c.pag, EngineKind::DynSum);
         let mut e2 = Session::new(&back, EngineKind::DynSum);
-        for (v, info) in c.pag.vars() {
-            let v2 = back.find_var(&info.name).expect("var survives export");
+        for (v, _) in c.pag.vars() {
+            let name = c.pag.var_name(v);
+            let v2 = back.find_var(name).expect("var survives export");
             let r1 = e1.points_to(v);
             let r2 = e2.points_to(v2);
             assert_eq!(r1.resolved, r2.resolved);
@@ -124,15 +127,15 @@ fn exported_graphs_answer_identically() {
                 .pts
                 .objects()
                 .into_iter()
-                .map(|o| c.pag.obj(o).label.clone())
+                .map(|o| c.pag.obj_label(o).to_owned())
                 .collect();
             let l2: Vec<_> = r2
                 .pts
                 .objects()
                 .into_iter()
-                .map(|o| back.obj(o).label.clone())
+                .map(|o| back.obj_label(o).to_owned())
                 .collect();
-            assert_eq!(l1, l2, "{}: {}", program.name, info.name);
+            assert_eq!(l1, l2, "{}: {}", program.name, name);
         }
     }
 }
@@ -147,7 +150,8 @@ fn context_insensitive_mode_matches_andersen_on_corpus() {
             ..EngineConfig::default()
         };
         let mut ci = Session::with_config(&c.pag, EngineKind::NoRefine, insensitive);
-        for (v, info) in c.pag.vars() {
+        for (v, _) in c.pag.vars() {
+            let name = c.pag.var_name(v);
             let r = ci.points_to(v);
             if !r.resolved {
                 continue;
@@ -159,7 +163,7 @@ fn context_insensitive_mode_matches_andersen_on_corpus() {
                 oracle_set,
                 "{}: {} CI-demand != Andersen",
                 program.name,
-                info.name
+                name
             );
         }
     }
