@@ -282,10 +282,14 @@ impl FaultPlan {
     }
 }
 
-/// A point-in-time snapshot of a session's robustness counters,
-/// returned by [`Session::health`]. All counters are lifetime totals.
+/// A point-in-time snapshot of a session's robustness counters and of
+/// the bytes its graph holds, returned by [`Session::health`]. All
+/// counters are lifetime totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionHealth {
+    /// The heap bytes of the session's frozen graph
+    /// ([`Pag::heap_bytes`]).
+    pub graph_bytes: u64,
     /// Batch workers that could not be spawned and were degraded to
     /// in-line execution ([`Session::spawn_failures`]).
     pub spawn_failures: u64,
@@ -517,10 +521,12 @@ impl<'p> Session<'p> {
         self.stale_rejected
     }
 
-    /// Snapshots every robustness counter into one [`SessionHealth`]
-    /// value — the metrics surface for supervising daemons.
+    /// Snapshots every robustness counter, and the graph's bytes, into
+    /// one [`SessionHealth`] value — the metrics surface for supervising
+    /// daemons.
     pub fn health(&self) -> SessionHealth {
         SessionHealth {
+            graph_bytes: self.pag.heap_bytes() as u64,
             spawn_failures: self.spawn_failures,
             stale_rejections: self.stale_rejected,
             evictions: self.cache_stats().evictions,
@@ -1658,7 +1664,11 @@ mod tests {
     fn health_snapshot_starts_clean() {
         let (pag, vars, ..) = two_callers();
         let mut session = Session::new(&pag, EngineKind::DynSum);
-        assert_eq!(session.health(), SessionHealth::default());
+        let clean = SessionHealth {
+            graph_bytes: pag.heap_bytes() as u64,
+            ..SessionHealth::default()
+        };
+        assert_eq!(session.health(), clean);
         session.run_batch_vars(&vars, 2);
         let h = session.health();
         assert_eq!(h.cancellations, 0);

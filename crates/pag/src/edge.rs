@@ -105,8 +105,8 @@ pub struct Edge {
 }
 
 /// The segment class of an adjacency entry: one per [`EdgeKind`]
-/// constructor, with the **local** classes first so locality checks are
-/// single range comparisons on the segment table.
+/// constructor, with the **local** classes first, so a row's local
+/// entries, and its global ones, are each one contiguous range.
 ///
 /// The frozen [`Pag`](crate::Pag) stores each node's adjacency sorted by
 /// this class, so the traversal engines iterate exactly the kinds they

@@ -6,6 +6,7 @@ use crate::edge::{Adj, AdjClass, Edge, EdgeId, EdgeKind, FieldEdge};
 use crate::ids::{CallSiteId, FieldId, MethodId, ObjId, VarId};
 use crate::names::{vec_bytes, Names, Ns};
 use crate::node::{CallSiteInfo, MethodInfo, NodeId, NodeRef, ObjInfo, VarInfo};
+use crate::rows::Rows;
 use crate::sites::SiteIndex;
 use crate::stats::PagStats;
 use crate::types::Hierarchy;
@@ -45,15 +46,13 @@ pub struct Pag {
     pub(crate) edges: Vec<Edge>,
 
     // Kind-partitioned CSR adjacency over the dense node space (vars then
-    // objects): node `n`'s out-adjacency of class `k` is
-    // `out_list[out_seg[n*7+k] .. out_seg[n*7+k+1]]`, with the edge
-    // payload (far endpoint + operand) inline in the `Adj` entries. The
-    // segment tables double as the per-node classification bits
-    // (`has_global_in` etc. are range-emptiness checks).
-    out_seg: Vec<u32>,
-    out_list: Vec<Adj>,
-    in_seg: Vec<u32>,
-    in_list: Vec<Adj>,
+    // objects), one row per node and direction, with the edge payload
+    // (far endpoint + operand) inline in the `Adj` entries. Each row has
+    // a 12-byte header: the row start, the class ends as `u8` offsets
+    // (`u32` in a side table for rows past 255 entries) and the flag
+    // bits `has_global_in` etc. read.
+    out_rows: Rows,
+    in_rows: Rows,
 
     // Field-indexed store/load edge lists with endpoints inline
     // (REFINEPTS pairs loads with all stores of the same field).
@@ -177,62 +176,51 @@ impl Pag {
         &self.edges
     }
 
-    #[inline]
-    fn seg_slice<'a>(seg: &[u32], list: &'a [Adj], n: NodeId, lo: usize, hi: usize) -> &'a [Adj] {
-        let base = n.index() * AdjClass::COUNT;
-        &list[seg[base + lo] as usize..seg[base + hi] as usize]
-    }
-
     /// Out-adjacency of `n` of one kind class (value flows out of `n`;
     /// entries carry the destination).
     #[inline]
     pub fn out_seg(&self, n: NodeId, k: AdjClass) -> &[Adj] {
-        Self::seg_slice(&self.out_seg, &self.out_list, n, k as usize, k as usize + 1)
+        self.out_rows.classes(n, k as usize, k as usize + 1)
     }
 
     /// In-adjacency of `n` of one kind class (value flows into `n`;
     /// entries carry the source).
     #[inline]
     pub fn in_seg(&self, n: NodeId, k: AdjClass) -> &[Adj] {
-        Self::seg_slice(&self.in_seg, &self.in_list, n, k as usize, k as usize + 1)
+        self.in_rows.classes(n, k as usize, k as usize + 1)
     }
 
     /// All out-adjacency entries of `n`, sorted by kind class.
     #[inline]
     pub fn out_edges(&self, n: NodeId) -> &[Adj] {
-        Self::seg_slice(&self.out_seg, &self.out_list, n, 0, AdjClass::COUNT)
+        self.out_rows.classes(n, 0, AdjClass::COUNT)
     }
 
     /// All in-adjacency entries of `n`, sorted by kind class.
     #[inline]
     pub fn in_edges(&self, n: NodeId) -> &[Adj] {
-        Self::seg_slice(&self.in_seg, &self.in_list, n, 0, AdjClass::COUNT)
+        self.in_rows.classes(n, 0, AdjClass::COUNT)
     }
 
     /// `true` if some global edge flows *into* `n` — the S1 boundary test
-    /// of Algorithm 3 (line 15). A range-emptiness check on the segment
-    /// table (the global classes are contiguous).
+    /// of Algorithm 3 (line 15). One flag bit of `n`'s in-row header.
     #[inline]
     pub fn has_global_in(&self, n: NodeId) -> bool {
-        let base = n.index() * AdjClass::COUNT;
-        self.in_seg[base + AdjClass::LOCAL_END] != self.in_seg[base + AdjClass::COUNT]
+        self.in_rows.has_global(n)
     }
 
     /// `true` if some global edge flows *out of* `n` — the S2 boundary
     /// test of Algorithm 3 (line 28).
     #[inline]
     pub fn has_global_out(&self, n: NodeId) -> bool {
-        let base = n.index() * AdjClass::COUNT;
-        self.out_seg[base + AdjClass::LOCAL_END] != self.out_seg[base + AdjClass::COUNT]
+        self.out_rows.has_global(n)
     }
 
     /// `true` if any local edge touches `n`; when false, the DYNSUM driver
     /// skips the partial points-to analysis entirely (§4.3).
     #[inline]
     pub fn has_local_edge(&self, n: NodeId) -> bool {
-        let base = n.index() * AdjClass::COUNT;
-        self.out_seg[base] != self.out_seg[base + AdjClass::LOCAL_END]
-            || self.in_seg[base] != self.in_seg[base + AdjClass::LOCAL_END]
+        self.out_rows.has_local(n) || self.in_rows.has_local(n)
     }
 
     /// All `store(f)` edges for a field, across the whole graph.
@@ -463,26 +451,25 @@ impl Pag {
     }
 
     /// The heap bytes this graph's own arrays hold: the name arena, its
-    /// spans and slot tables, the info records, the edge list, the
-    /// segment tables, both adjacency lists, the per-field store/load
-    /// lists and the call-site index, each counted by capacity. The
-    /// class hierarchy is not counted, and neither is allocator
-    /// overhead (headers, size-class rounding, freed memory the
-    /// allocator keeps), so a process's resident size is larger.
+    /// spans and slot tables, the class hierarchy, the info records, the
+    /// edge list, both directions' row headers and adjacency lists, the
+    /// per-field store/load lists and the call-site index, each counted
+    /// by capacity. Allocator overhead (headers, size-class rounding,
+    /// freed memory the allocator keeps) is not counted, so a process's
+    /// resident size is larger.
     pub fn heap_bytes(&self) -> usize {
         let field_lists = |lists: &Vec<Vec<FieldEdge>>| {
             vec_bytes(lists) + lists.iter().map(vec_bytes).sum::<usize>()
         };
         self.names.heap_bytes()
+            + self.hierarchy.heap_bytes()
             + vec_bytes(&self.methods)
             + vec_bytes(&self.vars)
             + vec_bytes(&self.objs)
             + vec_bytes(&self.call_sites)
             + vec_bytes(&self.edges)
-            + vec_bytes(&self.out_seg)
-            + vec_bytes(&self.in_seg)
-            + vec_bytes(&self.out_list)
-            + vec_bytes(&self.in_list)
+            + self.out_rows.heap_bytes()
+            + self.in_rows.heap_bytes()
             + field_lists(&self.stores_by_field)
             + field_lists(&self.loads_by_field)
             + self.sites.heap_bytes()
@@ -499,63 +486,11 @@ impl Pag {
         names: Names,
         edges: Vec<Edge>,
     ) -> Pag {
+        // Counting-sort edges into kind-partitioned rows, both
+        // directions, local classes first.
         let num_nodes = vars.len() + objs.len();
-        const K: usize = AdjClass::COUNT;
-
-        // Counting-sort edges into kind-partitioned CSR form, both
-        // directions: one segment per (node, kind class), local classes
-        // first.
-        let operand_of = |kind: EdgeKind| -> u32 {
-            match kind {
-                EdgeKind::Load(f) | EdgeKind::Store(f) => f.as_raw(),
-                EdgeKind::Entry(i) | EdgeKind::Exit(i) => i.as_raw(),
-                EdgeKind::New | EdgeKind::Assign | EdgeKind::AssignGlobal => 0,
-            }
-        };
-        // The segment tables are their own fill cursors: segment `j`'s
-        // count goes two slots up, at `j + 2`, so after the prefix sum
-        // slot `j + 1` holds segment `j`'s start. Filling advances it to
-        // segment `j`'s end, which is segment `j + 1`'s start, and the
-        // spare last slot is dropped.
-        let mut out_seg = vec![0u32; num_nodes * K + 2];
-        let mut in_seg = vec![0u32; num_nodes * K + 2];
-        for e in &edges {
-            let k = AdjClass::of(e.kind) as usize;
-            out_seg[e.src.index() * K + k + 2] += 1;
-            in_seg[e.dst.index() * K + k + 2] += 1;
-        }
-        for i in 1..out_seg.len() {
-            out_seg[i] += out_seg[i - 1];
-            in_seg[i] += in_seg[i - 1];
-        }
-        let nil = Adj {
-            node: NodeId(0),
-            operand: 0,
-            edge: EdgeId(0),
-        };
-        let mut out_list = vec![nil; edges.len()];
-        let mut in_list = vec![nil; edges.len()];
-        for (i, e) in edges.iter().enumerate() {
-            let edge = EdgeId(i as u32);
-            let operand = operand_of(e.kind);
-            let k = AdjClass::of(e.kind) as usize;
-            let oc = &mut out_seg[e.src.index() * K + k + 1];
-            out_list[*oc as usize] = Adj {
-                node: e.dst,
-                operand,
-                edge,
-            };
-            *oc += 1;
-            let ic = &mut in_seg[e.dst.index() * K + k + 1];
-            in_list[*ic as usize] = Adj {
-                node: e.src,
-                operand,
-                edge,
-            };
-            *ic += 1;
-        }
-        out_seg.pop();
-        in_seg.pop();
+        let out_rows = Rows::build(num_nodes, &edges, |e| (e.src, e.dst));
+        let in_rows = Rows::build(num_nodes, &edges, |e| (e.dst, e.src));
 
         let num_fields = names.len(Ns::Field);
         let mut stores_by_field = vec![Vec::new(); num_fields];
@@ -582,10 +517,8 @@ impl Pag {
             objs,
             call_sites,
             edges,
-            out_seg,
-            out_list,
-            in_seg,
-            in_list,
+            out_rows,
+            in_rows,
             stores_by_field,
             loads_by_field,
             sites,

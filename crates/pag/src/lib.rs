@@ -33,14 +33,20 @@
 //! that loop:
 //!
 //! * **Kind-partitioned CSR.** Each node's adjacency — in both value-flow
-//!   directions — is one contiguous run of [`Adj`] entries, sorted by
+//!   directions — is one contiguous row of [`Adj`] entries, sorted by
 //!   [`AdjClass`] (the seven [`EdgeKind`] constructors, local kinds
-//!   first). A segment table of `num_nodes × 7 + 1` offsets addresses
-//!   the run: [`Pag::out_seg`]`(n, k)` / [`Pag::in_seg`]`(n, k)` are two
-//!   array reads and a slice. The RSM transition loops
-//!   (`dynsum-core`'s search/PPTA/driver) therefore iterate exactly the
-//!   kinds they handle as straight segment scans — no per-edge `match`,
-//!   no branch misprediction on mixed kinds.
+//!   first), and by [`EdgeId`] within a class. One 12-byte header per
+//!   node and direction addresses the row: a `u32` row start, the seven
+//!   class ends as `u8` offsets from it, and a flag byte. A row longer
+//!   than 255 entries keeps its ends as `u32` offsets in a side table
+//!   the header indexes (the benchmark graphs have four such rows each,
+//!   of a few hundred entries). So [`Pag::out_seg`]`(n, k)` /
+//!   [`Pag::in_seg`]`(n, k)` are one header read and a slice, never a
+//!   search of the row: boundary nodes are hubs with hundreds of
+//!   entries. The RSM transition loops (`dynsum-core`'s
+//!   search/PPTA/driver) therefore iterate exactly the kinds they handle
+//!   as straight segment scans — no per-edge `match`, no branch
+//!   misprediction on mixed kinds.
 //! * **Inline payload.** An [`Adj`] entry carries the far endpoint, the
 //!   kind operand (field or call site) and the [`EdgeId`] in 12 bytes,
 //!   so traversal never dereferences the [`Edge`] arena; `edges()` /
@@ -48,10 +54,11 @@
 //!   per-field [`FieldEdge`] lists ([`Pag::stores_of`] /
 //!   [`Pag::loads_of`]) inline both endpoints for the same reason —
 //!   REFINEPTS's match edges expand through them allocation-free.
-//! * **Derived classification bits.** `has_global_in`/`has_global_out`/
-//!   `has_local_edge` are range-emptiness checks on the segment table
-//!   (the local classes are contiguous, as are the global ones), not
-//!   separate bit vectors.
+//! * **Classification bits in the header.** `has_global_in`/
+//!   `has_global_out`/`has_local_edge` read the flag byte of a row
+//!   header (is the row's local range, or its global range, non-empty?),
+//!   which the driver already reads for the segments, not separate bit
+//!   vectors.
 //! * **Call-site index.** Under a non-empty calling context, an `entry`
 //!   edge walked backwards into a formal (or an `exit` edge walked
 //!   forwards out of a return variable) is only taken when its site is
@@ -64,12 +71,14 @@
 //!   return the matching part of a segment, in segment order, by binary
 //!   search: the cost no longer grows with the caller count.
 //! * **One build pass.** [`PagBuilder::finish`] counting-sorts edges by
-//!   `(node, class)` in O(V·7 + E), using the segment tables as their
-//!   own fill cursors (no cursor copies), after dropping the builder's
-//!   wider edge tuples, and sorts only the entry/exit edges into the
-//!   call-site index; the graph stays immutable afterwards, which is
-//!   what makes the shared borrows of segments coexist with the
-//!   engines' mutable traversal state.
+//!   `(node, class)` in O(V·7 + E), after dropping the builder's wider
+//!   edge tuples. Every array is allocated once, at its final size: the
+//!   row headers count the rows and classes and then serve as their own
+//!   fill cursors, so no per-node table is built and thrown away. Only
+//!   the entry/exit edges are sorted, into the call-site index; the
+//!   graph stays immutable afterwards, which is what makes the shared
+//!   borrows of segments coexist with the engines' mutable traversal
+//!   state.
 //! * **Each name once.** Every field, method, variable, object and
 //!   call-site name lives once, in one `String` arena; the info records
 //!   ([`VarInfo`], [`ObjInfo`], [`MethodInfo`], [`CallSiteInfo`]) hold
@@ -81,8 +90,10 @@
 //!   choose collisions, and a declaration checks for a duplicate and
 //!   inserts in one probe. The builder deduplicates edges through the
 //!   same slot table, keyed by the edge packed into a `u128`, so edges
-//!   keep their first-occurrence [`EdgeId`] order. [`Pag::heap_bytes`]
-//!   reports what the frozen arrays hold.
+//!   keep their first-occurrence [`EdgeId`] order. The class
+//!   [`Hierarchy`] keeps each class name once, in its [`ClassInfo`],
+//!   and finds it through the same kind of slot table.
+//!   [`Pag::heap_bytes`] reports what the frozen arrays hold.
 //! * **Fingerprint once.** [`Pag::fingerprint`] — the snapshot header's
 //!   and the daemon session key's identity of the graph — hashes every
 //!   edge and name with the frozen [`StableHasher`], 11–16 ms on the
@@ -123,6 +134,7 @@ mod ids;
 mod meta;
 mod names;
 mod node;
+mod rows;
 mod sites;
 mod stats;
 pub mod text;

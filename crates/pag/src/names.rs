@@ -8,8 +8,9 @@
 //! and finds its free slot in the same probe. The builder deduplicates
 //! edges with the same [`SlotTable`], keyed by the packed edge. All of a
 //! builder's tables hash through one per-builder [`RandomState`], so
-//! `.pag` text cannot choose collisions. (Classes stay in the
-//! [`Hierarchy`](crate::Hierarchy)'s own map.)
+//! `.pag` text cannot choose collisions. (Class names live in the
+//! [`Hierarchy`](crate::Hierarchy)'s records, which find them through a
+//! [`SlotTable`] of their own.)
 
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;

@@ -5,9 +5,11 @@
 //! that is a subtype of `T`. Virtual-call resolution (CHA and on-the-fly)
 //! also consults the hierarchy.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 
 use crate::ids::ClassId;
+use crate::names::{vec_bytes, SlotTable, Vacant};
 
 /// Metadata for one class.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,9 +44,12 @@ pub struct ClassInfo {
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
     classes: Vec<ClassInfo>,
-    /// Name → id, so [`find`](Self::find) and the duplicate check in
-    /// [`add_class`](Self::add_class) do not scan `classes`.
-    names: HashMap<String, ClassId>,
+    /// Finds a class id by name (each name lives once, in its
+    /// [`ClassInfo`]), so [`find`](Self::find) does not scan `classes`
+    /// and [`add_class`](Self::add_class) checks for a duplicate and
+    /// finds its slot in one probe.
+    slots: SlotTable,
+    hasher: RandomState,
     /// Children adjacency, used for the interval encoding and CHA cones.
     children: Vec<Vec<ClassId>>,
     /// `intervals[c] = (pre, post)`: `a <: b` iff `b.pre <= a.pre < b.post`.
@@ -85,16 +90,19 @@ impl Hierarchy {
 
     /// Creates a hierarchy containing only the root class `Object`.
     pub fn new() -> Self {
-        Hierarchy {
-            classes: vec![ClassInfo {
-                name: Self::ROOT_NAME.to_owned(),
-                superclass: None,
-            }],
-            names: HashMap::from([(Self::ROOT_NAME.to_owned(), ClassId::from_raw(0))]),
-            children: vec![Vec::new()],
+        let mut h = Hierarchy {
+            classes: Vec::new(),
+            slots: SlotTable::default(),
+            hasher: RandomState::new(),
+            children: Vec::new(),
             intervals: Vec::new(),
             sealed: false,
-        }
+        };
+        let at = h
+            .lookup(Self::ROOT_NAME)
+            .expect_err("an empty hierarchy has no classes");
+        h.push(Self::ROOT_NAME, None, at);
+        h
     }
 
     /// The root class (`Object`).
@@ -129,27 +137,51 @@ impl Hierarchy {
         if self.sealed {
             return Err(HierarchyError::Sealed);
         }
-        if self.names.contains_key(name) {
-            return Err(HierarchyError::DuplicateClass(name.to_owned()));
-        }
+        let at = match self.lookup(name) {
+            Ok(_) => return Err(HierarchyError::DuplicateClass(name.to_owned())),
+            Err(at) => at,
+        };
         let superclass = superclass.unwrap_or_else(|| self.root());
         if superclass.index() >= self.classes.len() {
             return Err(HierarchyError::UnknownSuperclass(superclass));
         }
-        let id = ClassId::from_raw(self.classes.len() as u32);
-        self.names.insert(name.to_owned(), id);
-        self.classes.push(ClassInfo {
-            name: name.to_owned(),
-            superclass: Some(superclass),
-        });
-        self.children.push(Vec::new());
+        let id = self.push(name, Some(superclass), at);
         self.children[superclass.index()].push(id);
         Ok(id)
     }
 
+    /// The id of class `name`, or where [`push`](Self::push) would put it.
+    fn lookup(&self, name: &str) -> Result<ClassId, Vacant> {
+        self.slots
+            .probe(self.hasher.hash_one(name), |id| {
+                self.classes[id as usize].name == name
+            })
+            .map(ClassId::from_raw)
+    }
+
+    /// Appends a class at the slot `lookup` found for its name.
+    fn push(&mut self, name: &str, superclass: Option<ClassId>, at: Vacant) -> ClassId {
+        let id = self.classes.len() as u32;
+        self.classes.push(ClassInfo {
+            name: name.to_owned(),
+            superclass,
+        });
+        self.children.push(Vec::new());
+        let Hierarchy {
+            classes,
+            slots,
+            hasher,
+            ..
+        } = self;
+        slots.insert(at, id, |old| {
+            hasher.hash_one(classes[old as usize].name.as_str())
+        });
+        ClassId::from_raw(id)
+    }
+
     /// Looks a class up by name.
     pub fn find(&self, name: &str) -> Option<ClassId> {
-        self.names.get(name).copied()
+        self.lookup(name).ok()
     }
 
     /// Metadata for `class`.
@@ -215,6 +247,21 @@ impl Hierarchy {
         }
         self.intervals = intervals;
         self.sealed = true;
+    }
+
+    /// The bytes the class records, their names, the name slot table,
+    /// the subclass lists and the subtype encoding hold, by capacity.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.classes)
+            + self
+                .classes
+                .iter()
+                .map(|c| c.name.capacity())
+                .sum::<usize>()
+            + self.slots.heap_bytes()
+            + vec_bytes(&self.children)
+            + self.children.iter().map(vec_bytes).sum::<usize>()
+            + vec_bytes(&self.intervals)
     }
 
     /// Returns `true` once [`seal`](Self::seal) has been called.

@@ -792,6 +792,7 @@ impl<'p> Daemon<'p> {
                         "warm_summaries".to_owned(),
                         Json::num(entry.warm_summaries as u64),
                     ),
+                    ("graph_bytes".to_owned(), Json::num(h.graph_bytes)),
                     ("spawn_failures".to_owned(), Json::num(h.spawn_failures)),
                     ("stale_rejections".to_owned(), Json::num(h.stale_rejections)),
                     ("evictions".to_owned(), Json::num(h.evictions)),

@@ -1,5 +1,6 @@
 //! Generate the nine-benchmark synthetic suite and run a miniature of
-//! the paper's evaluation: per-benchmark statistics (Table 3 shape) and
+//! the paper's evaluation: per-benchmark statistics (Table 3 shape, plus
+//! the frozen graph's heap bytes per node and edge) and
 //! DYNSUM-vs-REFINEPTS edge speedups (Table 4 shape).
 //!
 //! Run with: `cargo run --release --example benchmark_suite [-- scale]`
@@ -19,12 +20,14 @@ fn main() {
         ..GeneratorOptions::default()
     };
     println!(
-        "{:<8} {:>7} {:>7} {:>9} {:>9} {:>8} {:>8} {:>8}",
-        "bench", "nodes", "edges", "locality", "paper", "SafeCast", "NullDrf", "FactoryM"
+        "{:<8} {:>7} {:>7} {:>7} {:>9} {:>9} {:>8} {:>8} {:>8}",
+        "bench", "nodes", "edges", "B/n+e", "locality", "paper", "SafeCast", "NullDrf", "FactoryM"
     );
     for profile in &PROFILES {
         let w = generate(profile, &opts);
         let s = w.pag.stats();
+        let bytes_per_item =
+            w.pag.heap_bytes() as f64 / (w.pag.num_nodes() + w.pag.num_edges()).max(1) as f64;
         let mut speedups = Vec::new();
         for client in ClientKind::ALL {
             let config = EngineConfig::default();
@@ -36,10 +39,11 @@ fn main() {
             speedups.push(format!("{speedup:.2}x"));
         }
         println!(
-            "{:<8} {:>7} {:>7} {:>8.1}% {:>8.1}% {:>8} {:>8} {:>8}",
+            "{:<8} {:>7} {:>7} {:>7.1} {:>8.1}% {:>8.1}% {:>8} {:>8} {:>8}",
             w.name,
             s.total_nodes(),
             s.total_edges(),
+            bytes_per_item,
             s.locality() * 100.0,
             profile.paper_locality_pct,
             speedups[0],
@@ -47,5 +51,8 @@ fn main() {
             speedups[2],
         );
     }
-    println!("\n(speedup columns: REFINEPTS edges / DYNSUM edges per client)");
+    println!(
+        "\n(B/n+e: Pag::heap_bytes per node plus edge; \
+         speedup columns: REFINEPTS edges / DYNSUM edges per client)"
+    );
 }

@@ -568,3 +568,21 @@ fn every_hello_reports_the_workload_fingerprint() {
         }
     }
 }
+
+/// `health` reports the bytes of the session's graph: its workload's
+/// `Pag::heap_bytes`.
+#[test]
+fn health_reports_the_graph_bytes() {
+    let m = motivating_pag();
+    let mut daemon = daemon_over(&m, ServiceConfig::default());
+    let c = daemon.connect();
+    hello(&mut daemon, c);
+    let frames = drive(&mut daemon, c, r#"{"op":"health","id":2}"#);
+    assert!(is_ok(&frames[0]), "health failed: {:?}", frames[0]);
+    let bytes = frames[0]
+        .get("session")
+        .and_then(|s| s.get("graph_bytes"))
+        .and_then(Json::as_u64);
+    assert!(m.pag.heap_bytes() > 0);
+    assert_eq!(bytes, Some(m.pag.heap_bytes() as u64));
+}
